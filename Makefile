@@ -45,13 +45,15 @@ arena:
 	@echo "mechanism arena smoke OK (/tmp/ARENA_smoke.json)"
 
 # cover enforces the statement-coverage floor on the mechanism-critical
-# packages: the auction kernel, the TCP platform, the federation, and the
-# topology-driven workload engine with its discrete-event simulator.
+# packages: the auction kernel, the TCP platform, the federation, the
+# topology-driven workload engine with its discrete-event simulator, and
+# the offline optimum (branch-and-bound and its LP solver) behind every
+# performance ratio.
 COVER_FLOOR ?= 70
 cover:
 	@$(GO) test -count=1 -cover \
 		./internal/core ./internal/platform ./internal/federation \
-		./internal/workload ./internal/sim \
+		./internal/workload ./internal/sim ./internal/lp ./internal/optimal \
 		| awk -v floor=$(COVER_FLOOR) ' \
 		/coverage:/ { \
 			pct = 0 + substr($$5, 1, length($$5)-1); \

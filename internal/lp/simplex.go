@@ -1,8 +1,13 @@
-// Package lp implements a small dense linear-programming solver: two-phase
-// primal simplex with Bland's anti-cycling rule. It is the substrate behind
+// Package lp implements the small dense linear-programming solver behind
 // the offline-optimal ILP solver used to compute the paper's performance
-// ratios — the LP relaxation of the winner selection problem gives the
-// lower bounds driving branch-and-bound.
+// ratios: the LP relaxation of the winner selection problem gives the lower
+// bounds driving branch-and-bound.
+//
+// The solver is a bounded-variable dual simplex over one dense tableau. It
+// is built for what branch-and-bound does: re-solve the same LP many times
+// under changing variable bounds. A bound change keeps the current basis
+// dual-feasible, so each re-solve starts from the previous basis and
+// typically needs a handful of pivots instead of a cold two-phase solve.
 //
 // The solver targets the modest, dense instances of this reproduction
 // (hundreds of variables/constraints), favouring clarity and numerical
@@ -15,339 +20,321 @@ import (
 	"math"
 )
 
-// Relation is the sense of a linear constraint.
-type Relation int
+// ErrInfeasibleLP reports an empty feasible region.
+var ErrInfeasibleLP = errors.New("lp: infeasible")
 
-const (
-	// LE is a_i · x ≤ b_i.
-	LE Relation = iota + 1
-	// GE is a_i · x ≥ b_i.
-	GE
-	// EQ is a_i · x = b_i.
-	EQ
-)
+// errIterLimit reports a solve that neither reached optimality nor proved
+// infeasibility within its pivot budget.
+var errIterLimit = errors.New("lp: simplex iteration limit exceeded (possible cycling)")
 
-// Constraint is one linear constraint over the problem variables.
-type Constraint struct {
-	Coeffs []float64
-	Rel    Relation
-	RHS    float64
-}
-
-// Problem is a minimization LP: min c·x subject to the constraints and
-// x ≥ 0 (bounds beyond non-negativity are expressed as constraints).
-type Problem struct {
-	// Objective holds c, one coefficient per variable.
-	Objective   []float64
-	Constraints []Constraint
-}
-
-// NumVars returns the number of structural variables.
-func (p *Problem) NumVars() int { return len(p.Objective) }
-
-// AddConstraint appends a constraint; coeffs must have NumVars entries.
-func (p *Problem) AddConstraint(coeffs []float64, rel Relation, rhs float64) error {
-	if len(coeffs) != p.NumVars() {
-		return fmt.Errorf("lp: constraint has %d coefficients for %d variables", len(coeffs), p.NumVars())
-	}
-	p.Constraints = append(p.Constraints, Constraint{Coeffs: coeffs, Rel: rel, RHS: rhs})
-	return nil
-}
-
-// Solution is an optimal LP solution.
-type Solution struct {
-	// X is the optimal point over the structural variables.
-	X []float64
-	// Objective is c·X.
-	Objective float64
-}
-
-// Solver errors.
-var (
-	// ErrInfeasibleLP reports an empty feasible region.
-	ErrInfeasibleLP = errors.New("lp: infeasible")
-	// ErrUnbounded reports an objective unbounded below.
-	ErrUnbounded = errors.New("lp: unbounded")
-)
-
+// eps is the primal feasibility, pivot and dual tolerance.
 const eps = 1e-9
 
-// Solve minimizes the problem with two-phase simplex. It returns
-// ErrInfeasibleLP or ErrUnbounded as appropriate.
-func Solve(p *Problem) (*Solution, error) {
-	t, err := newTableau(p)
-	if err != nil {
-		return nil, err
-	}
-	if t.needPhase1 {
-		if err := t.phase1(); err != nil {
-			return nil, err
-		}
-	}
-	if err := t.phase2(); err != nil {
-		return nil, err
-	}
-	return t.solution(), nil
+// Simplex minimizes c·x subject to A·x ≤ b and lo ≤ x ≤ hi, where every
+// bound is finite. Row i of A gets a slack s_i ≥ 0 (A·x + s = b), and the
+// dense tableau holds B⁻¹[A | I] for the current basis B, so its slack
+// columns are B⁻¹ itself.
+//
+// With finite bounds every basis can be made dual-feasible by putting each
+// nonbasic variable at the bound its reduced cost's sign selects; the
+// all-slack start basis is one of them. Solve therefore needs no phase 1
+// and no artificial columns, and SetBounds followed by Solve re-optimises
+// from whatever basis the previous solve left.
+type Simplex struct {
+	m, n, cols int         // rows, structural columns, n+m
+	rows       [][]float64 // A, read-only
+	rhs        []float64   // b
+	cost       []float64   // c
+
+	tab   []float64 // m×cols tableau B⁻¹[A | I], row-major
+	d     []float64 // reduced cost of every column
+	beta  []float64 // value of the basic variable of each row
+	basis []int     // basic column of each row
+	rowOf []int     // row of a basic column, -1 when nonbasic
+	x     []float64 // value of each nonbasic column (at lo or hi)
+	lo    []float64 // bounds of every column; slacks are [0, +Inf)
+	hi    []float64
+	nz    []int       // scratch: nonzero columns of the pivot row
+	cand  []candidate // scratch: ratio-test candidates
+	res   []float64   // scratch: b − N·x_N
 }
 
-// tableau is a dense simplex tableau in canonical form. Column layout:
-// [structural | slack/surplus | artificial], one row per constraint plus an
-// objective row maintained in reduced-cost form.
-type tableau struct {
-	m, n       int // constraints, structural vars
-	cols       int // total columns (without RHS)
-	a          [][]float64
-	rhs        []float64
-	basis      []int // basis[i] = column basic in row i
-	cost       []float64
-	artStart   int // first artificial column
-	needPhase1 bool
-	p          *Problem
-}
-
-func newTableau(p *Problem) (*tableau, error) {
-	m := len(p.Constraints)
-	n := p.NumVars()
-	// Count slack/surplus and artificial columns.
-	slacks := 0
-	arts := 0
-	for _, c := range p.Constraints {
-		switch c.Rel {
-		case LE, GE:
-			slacks++
-		case EQ:
-		default:
-			return nil, fmt.Errorf("lp: unknown relation %d", c.Rel)
+// NewSimplex builds the LP min c·x s.t. rows·x ≤ rhs, lo ≤ x ≤ hi on the
+// all-slack basis. The Simplex keeps rows and reads them on every
+// SetBounds; the caller must not modify them afterwards.
+func NewSimplex(c []float64, rows [][]float64, rhs, lo, hi []float64) (*Simplex, error) {
+	m, n := len(rows), len(c)
+	if len(rhs) != m {
+		return nil, fmt.Errorf("lp: %d constraint rows but %d right-hand sides", m, len(rhs))
+	}
+	for i, r := range rows {
+		if len(r) != n {
+			return nil, fmt.Errorf("lp: constraint %d has %d coefficients for %d variables", i, len(r), n)
 		}
 	}
-	// Artificial variables are decided after RHS normalization below.
-	t := &tableau{m: m, n: n, p: p}
-	t.a = make([][]float64, m)
-	t.rhs = make([]float64, m)
-	t.basis = make([]int, m)
-
-	// First pass: normalize rows to RHS >= 0, note which need artificials.
-	type rowinfo struct {
-		rel     Relation
-		flipped bool
+	cols := n + m
+	t := &Simplex{
+		m: m, n: n, cols: cols, rows: rows, rhs: rhs, cost: c,
+		tab:   make([]float64, m*cols),
+		d:     make([]float64, cols),
+		beta:  make([]float64, m),
+		basis: make([]int, m),
+		rowOf: make([]int, cols),
+		x:     make([]float64, cols),
+		lo:    make([]float64, cols),
+		hi:    make([]float64, cols),
+		nz:    make([]int, 0, cols),
+		res:   make([]float64, m),
 	}
-	infos := make([]rowinfo, m)
-	for i, c := range p.Constraints {
-		rel := c.Rel
-		flip := c.RHS < 0
-		if flip {
-			switch rel {
-			case LE:
-				rel = GE
-			case GE:
-				rel = LE
-			}
-		}
-		infos[i] = rowinfo{rel: rel, flipped: flip}
-		switch rel {
-		case GE, EQ:
-			arts++
-		}
+	copy(t.d, c)
+	for j := range t.rowOf {
+		t.rowOf[j] = -1
 	}
-	t.cols = n + slacks + arts
-	t.artStart = n + slacks
-	t.needPhase1 = arts > 0
-
-	slackCol := n
-	artCol := t.artStart
-	for i, c := range p.Constraints {
-		row := make([]float64, t.cols)
-		sign := 1.0
-		rhs := c.RHS
-		if infos[i].flipped {
-			sign = -1
-			rhs = -rhs
-		}
-		for j, v := range c.Coeffs {
-			row[j] = sign * v
-		}
-		switch infos[i].rel {
-		case LE:
-			row[slackCol] = 1
-			t.basis[i] = slackCol
-			slackCol++
-		case GE:
-			row[slackCol] = -1 // surplus
-			slackCol++
-			row[artCol] = 1
-			t.basis[i] = artCol
-			artCol++
-		case EQ:
-			row[artCol] = 1
-			t.basis[i] = artCol
-			artCol++
-		}
-		t.a[i] = row
-		t.rhs[i] = rhs
+	for i, r := range rows {
+		copy(t.tab[i*cols:], r)
+		t.tab[i*cols+n+i] = 1
+		t.basis[i] = n + i
+		t.rowOf[n+i] = i
+		t.hi[n+i] = math.Inf(1)
 	}
-
-	t.cost = make([]float64, t.cols)
-	copy(t.cost, p.Objective)
+	if err := t.SetBounds(lo, hi); err != nil {
+		return nil, err
+	}
 	return t, nil
 }
 
-// reducedCosts computes z_j - c_j style reduced costs for objective vector
-// obj (length cols) given the current basis, returning (reduced, objValue).
-func (t *tableau) reducedCosts(obj []float64) ([]float64, float64) {
-	// y = c_B applied through the basis rows: since the tableau is kept in
-	// canonical form (basic columns are unit vectors), the reduced cost of
-	// column j is c_j - Σ_i c_{basis[i]} · a[i][j], and the objective value
-	// is Σ_i c_{basis[i]} · rhs[i].
-	red := make([]float64, t.cols)
-	copy(red, obj)
-	var val float64
-	for i := 0; i < t.m; i++ {
-		cb := obj[t.basis[i]]
-		if cb == 0 {
-			continue
-		}
-		val += cb * t.rhs[i]
-		for j := 0; j < t.cols; j++ {
-			red[j] -= cb * t.a[i][j]
+// SetBounds installs new structural bounds, keeping the current basis. Each
+// nonbasic variable moves to the bound its reduced cost's sign selects (the
+// upper bound when it is below −eps, else the lower bound), which keeps
+// the basis dual-feasible; the basic values are then recomputed as
+// B⁻¹(b − N·x_N). A basic variable outside its new bounds is left for
+// Solve to repair.
+func (t *Simplex) SetBounds(lo, hi []float64) error {
+	if len(lo) != t.n || len(hi) != t.n {
+		return fmt.Errorf("lp: %d/%d bounds for %d variables", len(lo), len(hi), t.n)
+	}
+	for j := range lo {
+		if math.IsInf(lo[j], 0) || math.IsInf(hi[j], 0) || !(lo[j] <= hi[j]) {
+			return fmt.Errorf("lp: variable %d has bounds [%v, %v]; need finite lo <= hi", j, lo[j], hi[j])
 		}
 	}
-	return red, val
-}
-
-// pivot performs a standard pivot on (row, col).
-func (t *tableau) pivot(row, col int) {
-	pv := t.a[row][col]
-	inv := 1 / pv
-	for j := 0; j < t.cols; j++ {
-		t.a[row][j] *= inv
-	}
-	t.rhs[row] *= inv
-	t.a[row][col] = 1 // exact
-	for i := 0; i < t.m; i++ {
-		if i == row {
+	copy(t.lo, lo)
+	copy(t.hi, hi)
+	for j := 0; j < t.n; j++ {
+		if t.rowOf[j] >= 0 {
 			continue
 		}
-		f := t.a[i][col]
-		if f == 0 {
-			continue
-		}
-		for j := 0; j < t.cols; j++ {
-			t.a[i][j] -= f * t.a[row][j]
-		}
-		t.a[i][col] = 0 // exact
-		t.rhs[i] -= f * t.rhs[row]
-	}
-	t.basis[row] = col
-}
-
-// iterate runs simplex iterations minimizing obj over columns [0, limit)
-// until optimality. The reduced-cost row is maintained incrementally across
-// pivots. Pricing uses Dantzig's most-negative rule for speed, switching to
-// Bland's smallest-index rule (which provably terminates) once the
-// iteration count suggests cycling. It returns ErrUnbounded if a negative
-// reduced-cost column has no positive entries.
-func (t *tableau) iterate(obj []float64, limit int) error {
-	red, _ := t.reducedCosts(obj)
-	maxIters := 200 * (t.m + t.cols + 10) // hard stop for pathological cases
-	blandAfter := 20 * (t.m + t.cols + 10)
-	for iter := 0; iter < maxIters; iter++ {
-		col := -1
-		if iter < blandAfter {
-			most := -eps
-			for j := 0; j < limit; j++ {
-				if red[j] < most {
-					most, col = red[j], j
-				}
-			}
+		if t.d[j] < -eps {
+			t.x[j] = hi[j]
 		} else {
-			for j := 0; j < limit; j++ {
-				if red[j] < -eps {
-					col = j
-					break
-				}
-			}
+			t.x[j] = lo[j]
 		}
-		if col < 0 {
-			return nil // optimal
-		}
-		row := -1
-		bestRatio := math.Inf(1)
-		for i := 0; i < t.m; i++ {
-			if t.a[i][col] > eps {
-				ratio := t.rhs[i] / t.a[i][col]
-				if ratio < bestRatio-eps ||
-					(math.Abs(ratio-bestRatio) <= eps && (row < 0 || t.basis[i] < t.basis[row])) {
-					bestRatio = ratio
-					row = i
-				}
-			}
-		}
-		if row < 0 {
-			return ErrUnbounded
-		}
-		t.pivot(row, col)
-		// Update the reduced-cost row against the (now normalized) pivot row.
-		f := red[col]
-		prow := t.a[row]
-		for j := 0; j < t.cols; j++ {
-			red[j] -= f * prow[j]
-		}
-		red[col] = 0
 	}
-	return errors.New("lp: simplex iteration limit exceeded (possible cycling)")
-}
-
-// phase1 drives artificial variables to zero; infeasible if it cannot.
-func (t *tableau) phase1() error {
-	obj := make([]float64, t.cols)
-	for j := t.artStart; j < t.cols; j++ {
-		obj[j] = 1
-	}
-	if err := t.iterate(obj, t.cols); err != nil {
-		return err
-	}
-	_, val := t.reducedCosts(obj)
-	if val > 1e-7 {
-		return ErrInfeasibleLP
-	}
-	// Pivot any artificial still basic (at zero level) out of the basis
-	// when possible, so phase 2 never re-enters them.
-	for i := 0; i < t.m; i++ {
-		if t.basis[i] < t.artStart {
+	// Nonbasic slacks sit at zero, so b − N·x_N only needs the nonbasic
+	// structural columns.
+	res := t.res
+	copy(res, t.rhs)
+	for j := 0; j < t.n; j++ {
+		if t.rowOf[j] >= 0 || t.x[j] == 0 {
 			continue
 		}
-		pivoted := false
-		for j := 0; j < t.artStart; j++ {
-			if math.Abs(t.a[i][j]) > eps {
-				t.pivot(i, j)
-				pivoted = true
-				break
-			}
+		for i, r := range t.rows {
+			res[i] -= r[j] * t.x[j]
 		}
-		if !pivoted {
-			// Row is redundant; leave the zero-level artificial basic. Its
-			// column is excluded from phase-2 pricing, so it stays at zero.
-			continue
+	}
+	for i := range t.beta {
+		binv := t.tab[i*t.cols+t.n : (i+1)*t.cols]
+		var v float64
+		for k, r := range res {
+			v += binv[k] * r
 		}
+		t.beta[i] = v
 	}
 	return nil
 }
 
-// phase2 minimizes the true objective over non-artificial columns.
-func (t *tableau) phase2() error {
-	return t.iterate(t.cost, t.artStart)
+// Solve re-optimises from the current basis with the dual simplex. Each
+// iteration removes the basic variable with the largest bound violation
+// (Dantzig dual pricing) and enters the column chosen by a Harris two-pass
+// ratio test, which keeps every reduced cost dual-feasible. After a long
+// run of iterations it switches to Bland's smallest-index rules, which
+// cannot cycle. It returns ErrInfeasibleLP when a violated row has no
+// entering candidate: no point within the bounds satisfies it.
+func (t *Simplex) Solve() error {
+	return t.solve(20 * (t.m + t.cols + 10))
 }
 
-func (t *tableau) solution() *Solution {
-	x := make([]float64, t.n)
-	for i := 0; i < t.m; i++ {
-		if t.basis[i] < t.n {
-			x[t.basis[i]] = t.rhs[i]
+// solve runs the dual simplex with Bland's rules from iteration blandAfter
+// on, within a budget of ten times that.
+func (t *Simplex) solve(blandAfter int) error {
+	maxIters := 10 * max(blandAfter, t.m+t.cols+10)
+	for iter := 0; iter < maxIters; iter++ {
+		bland := iter >= blandAfter
+		r, target := t.leaving(bland)
+		if r < 0 {
+			return nil
+		}
+		q := t.entering(r, target, bland)
+		if q < 0 {
+			return ErrInfeasibleLP
+		}
+		t.pivot(r, q, target)
+	}
+	return errIterLimit
+}
+
+// leaving picks the row whose basic variable violates its bounds, and the
+// bound it leaves at; r is -1 when the basis is primal-feasible.
+func (t *Simplex) leaving(bland bool) (r int, target float64) {
+	r = -1
+	worst := eps
+	for i, j := range t.basis {
+		v := t.beta[i]
+		var viol, bound float64
+		switch {
+		case v < t.lo[j]-eps:
+			viol, bound = t.lo[j]-v, t.lo[j]
+		case v > t.hi[j]+eps:
+			viol, bound = v-t.hi[j], t.hi[j]
+		default:
+			continue
+		}
+		if bland {
+			if r < 0 || j < t.basis[r] {
+				r, target = i, bound
+			}
+		} else if viol > worst {
+			worst, r, target = viol, i, bound
 		}
 	}
-	var obj float64
-	for j, c := range t.p.Objective {
-		obj += c * x[j]
+	return r, target
+}
+
+// entering picks the nonbasic column that replaces row r's basic variable
+// as it moves to target. A candidate is a column whose move within its
+// bounds pushes the leaving variable toward target; its ratio |d_j / α_rj|
+// is the dual step at which its reduced cost reaches zero. The Harris pass
+// takes, among candidates within an eps-relaxed minimum ratio, the one with
+// the largest |α_rj| (the stablest pivot); Bland's rule takes the smallest
+// index at the exact minimum ratio.
+func (t *Simplex) entering(r int, target float64, bland bool) int {
+	row := t.tab[r*t.cols : (r+1)*t.cols]
+	rise := target > t.beta[r] // the leaving variable is below its lower bound
+	t.cand = t.cand[:0]
+	q, least, bound := -1, math.Inf(1), math.Inf(1)
+	for j, a := range row {
+		if a == 0 || t.rowOf[j] >= 0 || t.lo[j] == t.hi[j] {
+			continue
+		}
+		// x_B[r] = β_r − Σ α_rj·Δx_j, so with a oriented by rise, a > 0
+		// means raising x_j moves the leaving variable toward target.
+		if rise {
+			a = -a
+		}
+		var dj float64
+		switch {
+		case t.x[j] == t.lo[j] && a > eps:
+			dj = max(t.d[j], 0)
+		case t.x[j] == t.hi[j] && a < -eps:
+			dj, a = max(-t.d[j], 0), -a
+		default:
+			continue
+		}
+		if ratio := dj / a; ratio < least {
+			q, least = j, ratio
+		}
+		bound = min(bound, (dj+eps)/a)
+		t.cand = append(t.cand, candidate{j: j, ratio: dj / a, a: a})
 	}
-	return &Solution{X: x, Objective: obj}
+	if bland {
+		return q
+	}
+	var big float64
+	for _, c := range t.cand {
+		if c.ratio <= bound && c.a > big {
+			big, q = c.a, c.j
+		}
+	}
+	return q
+}
+
+// candidate is an entering column of the ratio test with its dual step
+// ratio and oriented pivot magnitude.
+type candidate struct {
+	j        int
+	ratio, a float64
+}
+
+// pivot enters column q in row r, whose basic variable leaves at target,
+// updating the basic values, the tableau and the reduced costs.
+func (t *Simplex) pivot(r, q int, target float64) {
+	cols := t.cols
+	prow := t.tab[r*cols : (r+1)*cols]
+	alpha := prow[q]
+	step := (t.beta[r] - target) / alpha // change of x_q
+	for i := range t.beta {
+		t.beta[i] -= t.tab[i*cols+q] * step
+	}
+	leave := t.basis[r]
+	t.beta[r] = t.x[q] + step
+	t.x[leave] = target
+	t.rowOf[leave] = -1
+	t.basis[r] = q
+	t.rowOf[q] = r
+
+	inv := 1 / alpha
+	t.nz = t.nz[:0]
+	for j, v := range prow {
+		if v != 0 {
+			prow[j] = v * inv
+			t.nz = append(t.nz, j)
+		}
+	}
+	prow[q] = 1
+	for i := 0; i < t.m; i++ {
+		if i == r {
+			continue
+		}
+		irow := t.tab[i*cols : (i+1)*cols]
+		f := irow[q]
+		if f == 0 {
+			continue
+		}
+		for _, j := range t.nz {
+			irow[j] -= f * prow[j]
+		}
+		irow[q] = 0
+	}
+	f := t.d[q]
+	for _, j := range t.nz {
+		t.d[j] -= f * prow[j]
+	}
+	t.d[q] = 0
+}
+
+// Value returns the current value of structural variable j.
+func (t *Simplex) Value(j int) float64 {
+	if r := t.rowOf[j]; r >= 0 {
+		return t.beta[r]
+	}
+	return t.x[j]
+}
+
+// Basic reports whether structural variable j is basic.
+func (t *Simplex) Basic(j int) bool { return t.rowOf[j] >= 0 }
+
+// ReducedCost returns d_j, the objective's rate of change as nonbasic
+// variable j moves off its bound (zero for a basic variable). At an optimal
+// basis, every point within the current bounds costs at least
+// Objective() + Σ_j d_j·(x_j − Value(j)) over the nonbasic j, each term
+// non-negative.
+func (t *Simplex) ReducedCost(j int) float64 { return t.d[j] }
+
+// Objective returns c·x at the current basis.
+func (t *Simplex) Objective() float64 {
+	var z float64
+	for j, c := range t.cost {
+		z += c * t.Value(j)
+	}
+	return z
 }

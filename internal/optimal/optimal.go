@@ -3,9 +3,11 @@
 // (3a, 5a, 6a) divide the mechanism's social cost by this optimum.
 //
 // The solver is branch-and-bound over bids with lower bounds from the LP
-// relaxation (solved by internal/lp) and an initial incumbent from the
-// greedy mechanism itself. For instances that exceed the node budget it
-// returns the best incumbent together with the proven LP lower bound and
+// relaxation and an initial incumbent from the greedy mechanism itself.
+// One internal/lp dual simplex tableau serves the whole search: each child
+// node is a bound change re-solved from the current basis, and reduced-cost
+// fixing against the incumbent tightens every subtree. For instances that
+// exceed the node budget it returns the best incumbent together with the proven LP lower bound and
 // Exact=false — ratios computed against the lower bound then over-estimate
 // (never under-estimate) the true ratio, which keeps reported results
 // conservative.
@@ -73,7 +75,10 @@ func Solve(ins *core.Instance, opts Options) (*Result, error) {
 		return nil, ErrInfeasible
 	}
 
-	s := &solver{ins: ins, opts: opts, best: math.Inf(1)}
+	s, err := newSolver(ins, opts)
+	if err != nil {
+		return nil, err
+	}
 	if opts.TimeLimit > 0 {
 		s.deadline = time.Now().Add(opts.TimeLimit)
 	}
@@ -84,14 +89,14 @@ func Solve(ins *core.Instance, opts Options) (*Result, error) {
 		s.bestWinners = append([]int(nil), out.Winners...)
 	}
 
-	rootLB, err := s.solveNode(nil)
-	if err != nil {
+	if err := s.lp.Solve(); err != nil {
 		if errors.Is(err, lp.ErrInfeasibleLP) {
 			return nil, ErrInfeasible
 		}
-		return nil, err
+		return nil, fmt.Errorf("optimal: root relaxation: %w", err)
 	}
-	s.branch(nil, rootLB)
+	rootLB := s.lp.Objective()
+	s.branch(0, rootLB)
 
 	if math.IsInf(s.best, 1) {
 		return nil, ErrInfeasible
@@ -99,17 +104,15 @@ func Solve(ins *core.Instance, opts Options) (*Result, error) {
 	res := &Result{
 		Winners:    s.bestWinners,
 		Cost:       s.best,
-		LowerBound: s.proverLB(rootLB.Objective),
+		LowerBound: s.proverLB(rootLB),
 		Exact:      s.exact,
 		Nodes:      s.nodes,
 	}
 	return res, nil
 }
 
-type fixing struct {
-	bid int
-	in  bool
-}
+// box is the variable bounds of one search depth.
+type box struct{ lo, hi []float64 }
 
 type solver struct {
 	ins         *core.Instance
@@ -120,9 +123,14 @@ type solver struct {
 	exhausted   bool
 	exact       bool
 	deadline    time.Time
-	// minLeafLB tracks the smallest LP bound among pruned-by-budget
-	// subtrees, to report a correct global lower bound on early stop.
+	// openLB holds the LP bounds of subtrees left unexplored when the
+	// budget ran out, to report a correct global lower bound on early stop.
 	openLB []float64
+	// lp is the relaxation's one tableau, warm-started down the tree.
+	lp *lp.Simplex
+	// boxes[d] is the bounds of the node open at depth d; boxes[0] is the
+	// unit box of the root.
+	boxes []box
 }
 
 // proverLB returns the proven global lower bound: the root LP bound if the
@@ -145,164 +153,169 @@ func (s *solver) proverLB(rootLB float64) float64 {
 	return s.best
 }
 
-// nodeLP is the LP relaxation value and fractional solution at a node.
-type nodeLP struct {
-	Objective float64
-	X         []float64
-}
-
-// solveNode solves the LP relaxation under the given fixings. Fixed
-// variables are substituted out rather than constrained: forced-in bids
-// reduce the coverage RHS and exclude their bidder's remaining bids;
-// forced-out bids are simply dropped. Each node therefore solves a smaller
-// LP than its parent.
-func (s *solver) solveNode(fixes []fixing) (*nodeLP, error) {
-	ins := s.ins
-	nb := len(ins.Bids)
-
-	excluded := make([]bool, nb)
-	fixedCost := 0.0
-	residual := append([]int(nil), ins.Demand...)
-	for _, f := range fixes {
-		if !f.in {
-			excluded[f.bid] = true
-			continue
-		}
-		b := &ins.Bids[f.bid]
-		fixedCost += b.Price
-		for _, k := range b.Covers {
-			residual[k] -= b.Units
-		}
-		for i := range ins.Bids {
-			if ins.Bids[i].Bidder == b.Bidder {
-				excluded[i] = true // includes f.bid itself
-			}
+// newSolver builds the LP relaxation of ILP (12) over the full bid space,
+// in the dual simplex's A·x ≤ b form with 0 ≤ x ≤ 1:
+//
+//   - one coverage row per needy microservice with positive demand,
+//     −Σ_j a_jk·x_j ≤ −d_k;
+//   - one row per bidder with several bids, Σ_j x_j ≤ 1, so that a 0/1
+//     branch is only a bound change.
+//
+// Prices are non-negative (Validate), so the all-slack start basis is
+// dual-feasible with every x_j at 0.
+func newSolver(ins *core.Instance, opts Options) (*solver, error) {
+	n := len(ins.Bids)
+	coverRow := make([]int, len(ins.Demand))
+	m := 0
+	for k, d := range ins.Demand {
+		coverRow[k] = -1
+		if d > 0 {
+			coverRow[k] = m
+			m++
 		}
 	}
-
-	// Map the surviving bids to LP variables.
-	vars := make([]int, 0, nb) // LP var -> original bid
-	for i := range ins.Bids {
-		if !excluded[i] {
-			vars = append(vars, i)
-		}
-	}
-
-	p := &lp.Problem{Objective: make([]float64, len(vars))}
-	for v, i := range vars {
-		p.Objective[v] = ins.Bids[i].Price
-	}
-	// Coverage constraints on residual demand: Σ Units·x ≥ residual_k.
-	for k, d := range residual {
-		if d <= 0 {
-			continue
-		}
-		row := make([]float64, len(vars))
-		nonzero := false
-		for v, i := range vars {
-			for _, c := range ins.Bids[i].Covers {
-				if c == k {
-					row[v] = float64(ins.Bids[i].Units)
-					nonzero = true
-				}
-			}
-		}
-		if !nonzero {
-			return nil, lp.ErrInfeasibleLP
-		}
-		if err := p.AddConstraint(row, lp.GE, float64(d)); err != nil {
-			return nil, err
-		}
-	}
-	// Bidder constraints: Σ_j x_ij ≤ 1 (also enforces x ≤ 1).
 	byBidder := map[int][]int{}
-	for v, i := range vars {
-		byBidder[ins.Bids[i].Bidder] = append(byBidder[ins.Bids[i].Bidder], v)
+	for j, b := range ins.Bids {
+		byBidder[b.Bidder] = append(byBidder[b.Bidder], j)
 	}
 	bidders := make([]int, 0, len(byBidder))
-	for b := range byBidder {
-		bidders = append(bidders, b)
+	for b, bids := range byBidder {
+		if len(bids) > 1 {
+			bidders = append(bidders, b)
+		}
 	}
 	sort.Ints(bidders)
+
+	m += len(bidders)
+	flat := make([]float64, m*n)
+	rows := make([][]float64, m)
+	for i := range rows {
+		rows[i] = flat[i*n : (i+1)*n]
+	}
+	rhs := make([]float64, m)
+	cost := make([]float64, n)
+	for k, d := range ins.Demand {
+		if r := coverRow[k]; r >= 0 {
+			rhs[r] = -float64(d)
+		}
+	}
+	for j, b := range ins.Bids {
+		cost[j] = b.Price
+		for _, k := range b.Covers {
+			if r := coverRow[k]; r >= 0 {
+				rows[r][j] = -float64(b.Units)
+			}
+		}
+	}
+	r := m - len(bidders)
 	for _, b := range bidders {
-		row := make([]float64, len(vars))
-		for _, v := range byBidder[b] {
-			row[v] = 1
+		for _, j := range byBidder[b] {
+			rows[r][j] = 1
 		}
-		if err := p.AddConstraint(row, lp.LE, 1); err != nil {
-			return nil, err
-		}
+		rhs[r] = 1
+		r++
 	}
 
-	sol, err := lp.Solve(p)
+	s := &solver{ins: ins, opts: opts, best: math.Inf(1)}
+	root := s.boxAt(0)
+	for j := range root.hi {
+		root.hi[j] = 1
+	}
+	relax, err := lp.NewSimplex(cost, rows, rhs, root.lo, root.hi)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("optimal: %w", err)
 	}
-	// Expand back to full variable space, re-applying the fixings.
-	x := make([]float64, nb)
-	for v, i := range vars {
-		x[i] = sol.X[v]
+	s.lp = relax
+	return s, nil
+}
+
+// boxAt returns the bounds of depth d, allocating the depth on first use.
+// Siblings at one depth reuse its vectors.
+func (s *solver) boxAt(d int) *box {
+	for len(s.boxes) <= d {
+		n := len(s.ins.Bids)
+		s.boxes = append(s.boxes, box{lo: make([]float64, n), hi: make([]float64, n)})
 	}
-	for _, f := range fixes {
-		if f.in {
-			x[f.bid] = 1
-		}
-	}
-	return &nodeLP{Objective: sol.Objective + fixedCost, X: x}, nil
+	return &s.boxes[d]
 }
 
 const intTol = 1e-6
 
-// branch explores the subtree under fixes, whose LP relaxation rel is
-// already solved, updating the incumbent.
-func (s *solver) branch(fixes []fixing, rel *nodeLP) {
+// branch explores the subtree of the node at depth, whose bounds are
+// boxes[depth] and whose LP relaxation the tableau holds solved, with
+// objective z. It updates the incumbent.
+func (s *solver) branch(depth int, z float64) {
 	s.nodes++
 	if s.nodes > s.opts.maxNodes() ||
 		(!s.deadline.IsZero() && s.nodes%16 == 0 && time.Now().After(s.deadline)) {
 		s.exhausted = true
-		s.openLB = append(s.openLB, rel.Objective)
+		s.openLB = append(s.openLB, z)
 		return
 	}
-	gapOK := rel.Objective >= s.best-1e-9
+	gapOK := z >= s.best-1e-9
 	if s.opts.Gap > 0 {
-		gapOK = rel.Objective >= s.best*(1-s.opts.Gap)
+		gapOK = z >= s.best*(1-s.opts.Gap)
 	}
 	if gapOK {
 		return // prune by bound
 	}
+	node := s.boxAt(depth)
+	// Reduced-cost fixing: moving nonbasic x_j off its bound raises every
+	// LP value in this box by at least |d_j|, so once z + |d_j| reaches the
+	// incumbent no better solution in the subtree moves it.
+	for j := range node.lo {
+		if node.lo[j] == node.hi[j] || s.lp.Basic(j) {
+			continue
+		}
+		if z+math.Abs(s.lp.ReducedCost(j)) >= s.best-1e-9 {
+			v := s.lp.Value(j)
+			node.lo[j], node.hi[j] = v, v
+		}
+	}
 	// Most-fractional branching variable.
 	frac, fracBid := 0.0, -1
-	for i, x := range rel.X {
+	for j := range s.ins.Bids {
+		x := s.lp.Value(j)
 		f := math.Abs(x - math.Round(x))
 		if f > intTol && f > frac {
-			frac, fracBid = f, i
+			frac, fracBid = f, j
 		}
 	}
 	if fracBid < 0 {
 		// Integral: candidate incumbent.
 		winners := make([]int, 0)
-		for i, x := range rel.X {
-			if x > 0.5 {
-				winners = append(winners, i)
+		cost := 0.0
+		for j := range s.ins.Bids {
+			if s.lp.Value(j) > 0.5 {
+				winners = append(winners, j)
+				cost += s.ins.Bids[j].Price
 			}
 		}
-		if rel.Objective < s.best-1e-9 {
-			s.best = rel.Objective
+		if cost < s.best-1e-9 {
+			s.best = cost
 			s.bestWinners = winners
 		}
 		return
 	}
 	// Branch x=1 first (tends to find good incumbents faster on covering
-	// problems), then x=0.
-	for _, in := range []bool{true, false} {
+	// problems), then x=0. Each child is a bound change re-solved from the
+	// tableau's current basis: the parent's for x=1, whatever the x=1
+	// subtree left for x=0.
+	child := s.boxAt(depth + 1)
+	for _, v := range []float64{1, 0} {
 		if s.exhausted {
 			// Budget spent somewhere below: stop solving sibling LPs; the
 			// subtree bound recorded at exhaustion keeps proverLB valid.
-			s.openLB = append(s.openLB, rel.Objective)
+			s.openLB = append(s.openLB, z)
 			return
 		}
-		child := append(append([]fixing(nil), fixes...), fixing{bid: fracBid, in: in})
-		childRel, err := s.solveNode(child)
+		copy(child.lo, node.lo)
+		copy(child.hi, node.hi)
+		child.lo[fracBid], child.hi[fracBid] = v, v
+		err := s.lp.SetBounds(child.lo, child.hi)
+		if err == nil {
+			err = s.lp.Solve()
+		}
 		if err != nil {
 			if errors.Is(err, lp.ErrInfeasibleLP) {
 				continue
@@ -310,10 +323,10 @@ func (s *solver) branch(fixes []fixing, rel *nodeLP) {
 			// Unexpected solver failure: treat subtree as open so the
 			// reported bound stays valid.
 			s.exhausted = true
-			s.openLB = append(s.openLB, rel.Objective)
+			s.openLB = append(s.openLB, z)
 			continue
 		}
-		s.branch(child, childRel)
+		s.branch(depth+1, s.lp.Objective())
 	}
 }
 
@@ -380,13 +393,18 @@ func SolveExhaustive(ins *core.Instance) (*Result, error) {
 // any search: the cheapest certified denominator for ratio experiments on
 // instances too large to solve exactly.
 func LowerBound(ins *core.Instance) (float64, error) {
-	s := &solver{ins: ins}
-	rel, err := s.solveNode(nil)
+	if err := ins.Validate(); err != nil {
+		return 0, fmt.Errorf("optimal: %w", err)
+	}
+	s, err := newSolver(ins, Options{})
 	if err != nil {
+		return 0, err
+	}
+	if err := s.lp.Solve(); err != nil {
 		if errors.Is(err, lp.ErrInfeasibleLP) {
 			return 0, ErrInfeasible
 		}
-		return 0, err
+		return 0, fmt.Errorf("optimal: %w", err)
 	}
-	return rel.Objective, nil
+	return s.lp.Objective(), nil
 }

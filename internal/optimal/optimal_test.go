@@ -144,6 +144,21 @@ func TestLowerBoundIsValid(t *testing.T) {
 	}
 }
 
+func TestLowerBoundValidatesInstance(t *testing.T) {
+	// Bid 1 covers needy index 99 of a one-service instance.
+	ins := &core.Instance{Demand: []int{5}, Bids: []core.Bid{
+		{Bidder: 1, Price: 5, Covers: []int{0}, Units: 5},
+		{Bidder: 2, Price: 1, Covers: []int{99}, Units: 1},
+	}}
+	const want = "optimal: core: bid 1 covers out-of-range needy microservice 99"
+	if lb, err := LowerBound(ins); err == nil || err.Error() != want {
+		t.Fatalf("LowerBound = %v, %v; want error %q", lb, err, want)
+	}
+	if _, err := Solve(ins, Options{}); err == nil || err.Error() != want {
+		t.Fatalf("Solve error %v, want %q", err, want)
+	}
+}
+
 func TestSolveRespectsNodeBudget(t *testing.T) {
 	rng := workload.NewRand(12)
 	ins := workload.Instance(rng, workload.InstanceConfig{Bidders: 30, Needy: 8,

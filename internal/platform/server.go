@@ -518,15 +518,19 @@ func (s *Server) ingestBid(sess *session, id, tag int, bids []WireBid, now time.
 		g.doneClosed = true
 	}
 	rtt := now.Sub(g.announcedAt)
+	if s.tracer != nil {
+		// Emitted before releasing gmu: awaitGather closes the window under
+		// gmu, so every accepted bid's event precedes the round's close and
+		// audit record. Emitted after, it could land in the next round's
+		// trace batch and break the auditor's bid count.
+		s.tracer.Emit(obs.BidReceived{T: t, ID: id, Bids: len(bids), RTTMicros: rtt.Microseconds()})
+	}
 	s.gmu.Unlock()
 
 	s.mBids.Add(int64(len(bids)))
 	s.mBidRTT.Observe(float64(rtt.Microseconds()))
 	if s.adm != nil {
 		s.adm.recordSuccess(id)
-	}
-	if s.tracer != nil {
-		s.tracer.Emit(obs.BidReceived{T: t, ID: id, Bids: len(bids), RTTMicros: rtt.Microseconds()})
 	}
 }
 
