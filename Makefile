@@ -16,9 +16,9 @@ test:
 # fails loudly before the long race run), the full test suite under the
 # race detector (the platform tests exercise real TCP concurrency, and the
 # parallel payment phase and sweep runner exercise their scratch state), a
-# bounded run of the reference/optimized SSAM differential fuzzer (its
-# seed corpus also runs as plain tests, so the kernel equivalence is a
-# standing gate), then a quick bench-repro smoke run proving the
+# bounded run of the reference/optimized SSAM differential fuzzer and of
+# the canonical-bid-decoder vs encoding/json fuzzer (their seed corpora
+# also run as plain tests, so both equivalences are standing gates), then a quick bench-repro smoke run proving the
 # end-to-end figure pipeline and its wall-clock report still work.
 check:
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then \
@@ -28,6 +28,8 @@ check:
 	$(GO) test -race ./...
 	$(GO) test -run '^$$' -fuzz '^FuzzSSAMDifferential$$' -fuzztime 10s \
 		./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEnvelope$$' -fuzztime 10s \
+		./internal/platform
 	$(GO) run ./cmd/repro -fig all -quick -opt-time 300ms \
 		-bench-json /tmp/BENCH_repro_smoke.json >/dev/null
 	$(MAKE) arena
@@ -70,6 +72,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSSAMDifferential$$' -fuzztime $(FUZZTIME) \
 		./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzReadAudit$$' -fuzztime $(FUZZTIME) \
+		./internal/platform
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEnvelope$$' -fuzztime $(FUZZTIME) \
 		./internal/platform
 
 # soak-quick is the chaos gate: the 250-round churn+fault scenario must

@@ -108,7 +108,8 @@ type (
 	// VariantParams controls how variants transform a base scenario.
 	VariantParams = core.VariantParams
 	// RoundResult couples one online round's outcome with its scaled
-	// prices and exclusions (returned by MSOA.RunRound and Results).
+	// prices and exclusions (returned by MSOA.RunRound; MSOA keeps no
+	// history, only the running Summary).
 	RoundResult = core.RoundResult
 	// BudgetedOutcome extends Outcome with budget accounting.
 	BudgetedOutcome = core.BudgetedOutcome

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -352,4 +353,88 @@ func FuzzSSAMDifferential(f *testing.F) {
 		}
 		assertDifferential(t, ins, scaled, opts, "fuzz")
 	})
+}
+
+// TestPriceSpreadMatchesBidderMap holds the kernel's group-walk Ξ to the
+// per-bidder map formulation bit for bit, over multi-alternative bidders
+// and scaled vectors with zero, negative and tied prices.
+func TestPriceSpreadMatchesBidderMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 300; trial++ {
+		var ins *Instance
+		if trial%2 == 0 {
+			ins = randomInstance(rng, 1+rng.Intn(12), 1+rng.Intn(4), 1+rng.Intn(4))
+		} else {
+			ins = tieProneInstance(rng, 1+rng.Intn(12), 1+rng.Intn(4), 1+rng.Intn(4))
+		}
+		rng.Shuffle(len(ins.Bids), func(i, j int) { ins.Bids[i], ins.Bids[j] = ins.Bids[j], ins.Bids[i] })
+		scaled := make([]float64, len(ins.Bids))
+		for i := range scaled {
+			switch rng.Intn(8) {
+			case 0:
+				scaled[i] = 0
+			case 1:
+				scaled[i] = -rng.Float64()
+			default:
+				scaled[i] = ins.Bids[i].Price * (1 + rng.Float64())
+			}
+		}
+		kn := kernelPool.Get().(*kernel)
+		if err := kn.build(ins, scaled, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		got, want := kn.priceSpread(), bidderPriceSpread(ins, scaled)
+		kn.release()
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: kernel Ξ = %v, bidder-map Ξ = %v", trial, got, want)
+		}
+	}
+}
+
+// TestCheckpointUntilMatchesCandidateCopies replays the main selection
+// loop, copying the live candidate list at every checkpoint, and checks
+// that the per-bid until stamps reproduce each copy exactly: checkpoint
+// s's set is {b : until[b] > s}.
+func TestCheckpointUntilMatchesCandidateCopies(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 200; trial++ {
+		var ins *Instance
+		if trial%2 == 0 {
+			ins = tieProneInstance(rng, 2+rng.Intn(15), 1+rng.Intn(5), 1+rng.Intn(3))
+		} else {
+			ins = saturationHeavyInstance(rng, 2+rng.Intn(15), 1+rng.Intn(5), 1+rng.Intn(3))
+		}
+		scaled := make([]float64, len(ins.Bids))
+		for i := range ins.Bids {
+			scaled[i] = ins.Bids[i].Price
+		}
+		kn := kernelPool.Get().(*kernel)
+		if err := kn.build(ins, scaled, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		var copies [][]bool
+		for kn.deficit > 0 {
+			best, score, _ := kn.popBest()
+			if best < 0 {
+				break
+			}
+			kn.checkpoint(score)
+			live := make([]bool, kn.nb)
+			for _, b := range kn.cand.list {
+				live[b] = true
+			}
+			copies = append(copies, live)
+			kn.removeGroupIn(&kn.cand, kn.groupOf[best])
+			kn.applyDirty(best)
+		}
+		for s, live := range copies {
+			for b := 0; b < kn.nb; b++ {
+				if inSet := kn.cand.until[b] > int32(s); inSet != live[b] {
+					t.Fatalf("trial %d checkpoint %d bid %d: until=%d gives %v, candidate copy has %v",
+						trial, s, b, kn.cand.until[b], inSet, live[b])
+				}
+			}
+		}
+		kn.release()
+	}
 }

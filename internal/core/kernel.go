@@ -40,9 +40,12 @@ import (
 //     bid would have been selected, and under lowest-index tie-breaking an
 //     equal-score bid of w's bidder with a lower index would also have been
 //     selected, so removing the bidder changes neither the selections nor
-//     the scores. The main run snapshots (θ, deficit, compact candidate
-//     list, selected score) at every winning iteration; each winner's
-//     replay then reduces to a cheap prefix max over stored scores
+//     the scores. The main run snapshots (θ, deficit, selected score) at
+//     every winning iteration and stamps each bid once with until[b], the
+//     number of checkpoints already taken when b left the candidate set,
+//     so checkpoint s's candidate set is {b : until[b] > s} without a
+//     per-winner copy of the candidate list. Each winner's replay then
+//     reduces to a cheap prefix max over stored scores
 //     (O(s·|Covers_w|), no candidate scans) plus a live replay of only the
 //     SUFFIX from its own checkpoint. The per-iteration max is
 //     order-independent, so prefix-max + suffix-max equals the full
@@ -70,9 +73,16 @@ func betterScore(s1 float64, b1 int32, s2 float64, b2 int32) bool {
 // list holds the live bid indices in arbitrary order, pos maps a bid index
 // to its position in list (-1 once removed). Scans must apply an explicit
 // lowest-bid-index tie-break, because swap-deletes permute list order.
+//
+// until, when non-nil (the kernel's main run), stamps each removed bid
+// with clock at its removal — the number of payment checkpoints taken
+// before the bid left the set; bids never removed keep math.MaxInt32.
+// Checkpoint s's candidate set is then exactly {b : until[b] > s}.
 type candSet struct {
-	list []int32
-	pos  []int32
+	list  []int32
+	pos   []int32
+	until []int32
+	clock int32
 }
 
 func (cs *candSet) reset(nb int) {
@@ -96,6 +106,9 @@ func (cs *candSet) removeAt(i int) {
 	cs.pos[moved] = int32(i)
 	cs.list = cs.list[:last]
 	cs.pos[b] = -1 // after pos[moved]: correct even when b == moved
+	if cs.until != nil {
+		cs.until[b] = cs.clock
+	}
 }
 
 func (cs *candSet) remove(b int32) {
@@ -152,14 +165,12 @@ type kernel struct {
 
 	// Per-winning-iteration checkpoints (CriticalValue payments only):
 	// state BEFORE the iteration's winner was applied or its bidder
-	// removed. ckTheta is iterations × nk flattened; ckCand holds the
-	// concatenated candidate lists with ckCandStart offsets (one more
-	// entry than iterations); ckScore is the iteration's selected score.
-	ckTheta     []int32
-	ckDeficit   []int
-	ckScore     []float64
-	ckCand      []int32
-	ckCandStart []int
+	// removed. ckTheta is iterations × nk flattened; ckScore is the
+	// iteration's selected score. A checkpoint's candidate set is read
+	// back from cand.until (see candSet).
+	ckTheta   []int32
+	ckDeficit []int
+	ckScore   []float64
 
 	gains []int // certificate per-winner gains scratch (aligned with Covers)
 
@@ -295,12 +306,15 @@ func (kn *kernel) build(ins *Instance, scaled []float64, opts Options) error {
 	}
 
 	kn.cand.reset(nb)
+	kn.cand.until = resizeInt32(kn.cand.until, nb)
+	for b := range kn.cand.until {
+		kn.cand.until[b] = math.MaxInt32
+	}
+	kn.cand.clock = 0
 	kn.winners = kn.winners[:0]
 	kn.ckTheta = kn.ckTheta[:0]
 	kn.ckDeficit = kn.ckDeficit[:0]
 	kn.ckScore = kn.ckScore[:0]
-	kn.ckCand = kn.ckCand[:0]
-	kn.ckCandStart = append(kn.ckCandStart[:0], 0)
 	kn.lh.seed(kn, kn.theta, &kn.cand)
 	return nil
 }
@@ -460,16 +474,17 @@ func (kn *kernel) removeGroupIn(cs *candSet, g int32) {
 }
 
 // checkpoint snapshots the pre-apply state of the current winning
-// iteration: θ, deficit, the compact candidate list (post dead-bid
-// removal, pre winner-group removal — dead bids are dead in every
-// counterfactual too, and the replay filters the excluded bidder itself),
-// and the iteration's selected score for the prefix max.
+// iteration: θ, deficit and the iteration's selected score for the prefix
+// max. Advancing cand.clock closes the checkpoint's candidate set: the
+// bids still in the set now (post dead-bid removal, pre winner-group
+// removal — dead bids are dead in every counterfactual too, and the
+// replay filters the excluded bidder itself) are exactly those whose
+// until ends up above this checkpoint's index.
 func (kn *kernel) checkpoint(score float64) {
 	kn.ckTheta = append(kn.ckTheta, kn.theta...)
 	kn.ckDeficit = append(kn.ckDeficit, kn.deficit)
 	kn.ckScore = append(kn.ckScore, score)
-	kn.ckCand = append(kn.ckCand, kn.cand.list...)
-	kn.ckCandStart = append(kn.ckCandStart, len(kn.ckCand))
+	kn.cand.clock++
 }
 
 // dirtyGains is the batch epoch pass for the certificate path (main run
@@ -489,8 +504,8 @@ func (kn *kernel) dirtyGains(b int32, gains []int) {
 // comes from the lazy-rescore heap (popBest) instead of a full candidate
 // scan, and each committed winner batch-invalidates only the bids whose
 // marginals it touched. Checkpoints are recorded only when the payment
-// phase will consume them; with lazy dead-bid discovery the checkpointed
-// candidate lists may retain bids whose marginal already hit 0 — harmless,
+// phase will consume them; with lazy dead-bid discovery a checkpoint's
+// candidate set may retain bids whose marginal already hit 0 — harmless,
 // because deadness depends only on θ and the replay scans prune them before
 // any score is computed (DESIGN.md §11).
 func (kn *kernel) selectWinners(ins *Instance, opts Options, out *Outcome, cert *certBuilder) error {
@@ -543,14 +558,17 @@ var replayScratchPool = sync.Pool{New: func() any { return new(replayScratch) }}
 
 // loadCheckpoint initializes rs from main-run checkpoint s with bidder
 // group ban excluded from the candidate set, then seeds the replay's heap
-// with exact scores at the checkpoint θ. The checkpointed list may retain
+// with exact scores at the checkpoint θ. The checkpoint's set may retain
 // bids that went dead before s but were never surfaced by the main run's
 // lazy discovery; the seed pass prunes them here, exactly where the old
 // full-scan replay pruned them on its first iteration (DESIGN.md §11).
+// The set is loaded in ascending bid order rather than the main run's
+// swap-delete order; the heap orders by (key, bid index), a total order,
+// so the seeding order cannot change any pop.
 func (rs *replayScratch) loadCheckpoint(kn *kernel, s int, ban int32) {
 	rs.theta = append(rs.theta[:0], kn.ckTheta[s*kn.nk:(s+1)*kn.nk]...)
 	rs.deficit = kn.ckDeficit[s]
-	rs.loadCands(kn, kn.ckCand[kn.ckCandStart[s]:kn.ckCandStart[s+1]], ban)
+	rs.loadCands(kn, int32(s), ban)
 	rs.lh.seed(kn, rs.theta, &rs.cand)
 }
 
@@ -564,33 +582,22 @@ func (rs *replayScratch) loadInitial(kn *kernel, ban int32) {
 		rs.theta[k] = 0
 	}
 	rs.deficit = kn.totalDemand
+	rs.loadCands(kn, -1, ban)
+	rs.lh.seed(kn, rs.theta, &rs.cand)
+}
+
+// loadCands fills rs's candidate set, in ascending bid order, with every
+// bid of the main run's checkpoint-s set (until[b] > s; s = -1 takes every
+// bid) outside bidder group ban.
+func (rs *replayScratch) loadCands(kn *kernel, s int32, ban int32) {
 	if cap(rs.cand.list) < kn.nb {
 		rs.cand.list = make([]int32, 0, kn.nb)
 	}
 	rs.cand.list = rs.cand.list[:0]
 	rs.cand.pos = resizeInt32(rs.cand.pos, kn.nb)
 	for b := int32(0); b < int32(kn.nb); b++ {
-		if kn.groupOf[b] == ban {
+		if kn.cand.until[b] <= s || kn.groupOf[b] == ban {
 			rs.cand.pos[b] = -1
-			continue
-		}
-		rs.cand.pos[b] = int32(len(rs.cand.list))
-		rs.cand.list = append(rs.cand.list, b)
-	}
-	rs.lh.seed(kn, rs.theta, &rs.cand)
-}
-
-func (rs *replayScratch) loadCands(kn *kernel, cands []int32, ban int32) {
-	rs.cand.pos = resizeInt32(rs.cand.pos, kn.nb)
-	for b := range rs.cand.pos {
-		rs.cand.pos[b] = -1
-	}
-	if cap(rs.cand.list) < len(cands) {
-		rs.cand.list = make([]int32, 0, len(cands))
-	}
-	rs.cand.list = rs.cand.list[:0]
-	for _, b := range cands {
-		if kn.groupOf[b] == ban {
 			continue
 		}
 		rs.cand.pos[b] = int32(len(rs.cand.list))

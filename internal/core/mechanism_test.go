@@ -181,10 +181,11 @@ func TestRunMechanismZeroSpecMatchesSSAM(t *testing.T) {
 func TestMSOAExplicitSSAMSpecBitIdentical(t *testing.T) {
 	runAll := func(cfg MSOAConfig) []*RoundResult {
 		m := NewMSOA(cfg)
+		var results []*RoundResult
 		for r := 1; r <= 4; r++ {
-			m.RunRound(simpleRound(r, 2, 10, 14, 20, 30))
+			results = append(results, m.RunRound(simpleRound(r, 2, 10, 14, 20, 30)))
 		}
-		return m.Results()
+		return results
 	}
 	base := runAll(MSOAConfig{DefaultCapacity: 3})
 	named := runAll(MSOAConfig{DefaultCapacity: 3, Mechanism: MechanismSpec{Name: NameSSAM}})

@@ -139,12 +139,12 @@ type MSOA struct {
 	mechErr error
 	psi     map[int]float64 // ψ_i
 	chi     map[int]int     // χ_i: coverage slots consumed so far
-	// results accumulates every processed round for reporting.
-	results []*RoundResult
-	// base is the summary carried over from a restored snapshot
-	// (RestoreMSOA); Summary folds it in so a recovered mechanism reports
-	// the whole run, not just the rounds since restart. Zero for NewMSOA.
-	base OnlineSummary
+	// sum is the running aggregate of every processed round, folded in
+	// round order by RunRound, so a round costs the same however long the
+	// run has been. RestoreMSOA seeds it with the snapshot's summary, so
+	// a recovered mechanism reports the whole run, not just the rounds
+	// since restart.
+	sum OnlineSummary
 }
 
 // NewMSOA returns an online auction with zeroed dual state. A
@@ -175,9 +175,6 @@ func (m *MSOA) Psi(bidder int) float64 { return m.psi[bidder] }
 // UsedCapacity returns χ_i, the coverage slots bidder has supplied so far.
 func (m *MSOA) UsedCapacity(bidder int) int { return m.chi[bidder] }
 
-// Results returns the per-round results processed so far.
-func (m *MSOA) Results() []*RoundResult { return m.results }
-
 // RunRound executes one stage: derive scaled prices, filter the candidate
 // set by windows and remaining capacity, run SSAM on the scaled prices, pay
 // winners, and update ψ and χ for the winning bidders.
@@ -186,7 +183,7 @@ func (m *MSOA) RunRound(r Round) *RoundResult {
 	res := &RoundResult{T: r.T, Scaled: make([]float64, len(ins.Bids))}
 	if m.mechErr != nil {
 		res.Err = fmt.Errorf("core: round %d: %w", r.T, m.mechErr)
-		m.results = append(m.results, res)
+		m.sum.add(res)
 		return res
 	}
 	tr := m.cfg.Options.Tracer
@@ -248,7 +245,7 @@ func (m *MSOA) RunRound(r Round) *RoundResult {
 	}
 	if err != nil {
 		res.Err = fmt.Errorf("core: round %d: %w", r.T, err)
-		m.results = append(m.results, res)
+		m.sum.add(res)
 		if tr != nil {
 			tr.Emit(obs.RoundClose{
 				Scope: obs.ScopeMSOA, T: r.T, Bids: len(filtered.Bids),
@@ -306,7 +303,7 @@ func (m *MSOA) RunRound(r Round) *RoundResult {
 		m.chi[b.Bidder] += len(b.Covers)
 	}
 
-	m.results = append(m.results, res)
+	m.sum.add(res)
 	if tr != nil {
 		tr.Emit(obs.RoundClose{
 			Scope: obs.ScopeMSOA, T: r.T, Bids: len(filtered.Bids),
@@ -347,22 +344,26 @@ type OnlineSummary struct {
 // Summary aggregates the rounds processed so far, including any rounds
 // folded in from a restored snapshot.
 func (m *MSOA) Summary() *OnlineSummary {
-	s := m.base
-	s.Rounds += len(m.results)
-	for _, r := range m.results {
-		if r.Err != nil {
-			s.InfeasibleRounds++
-			continue
-		}
-		s.SocialCost += r.Outcome.SocialCost
-		s.ScaledCost += r.Outcome.ScaledCost
-		s.TotalPayment += r.Outcome.TotalPayment()
-		s.WinningBids += len(r.Outcome.Winners)
-		if r.Outcome.Dual != nil && r.Outcome.Dual.Ratio() > s.MaxCertRatio {
-			s.MaxCertRatio = r.Outcome.Dual.Ratio()
-		}
-	}
+	s := m.sum
 	return &s
+}
+
+// add folds one round into the summary. Rounds must be added in order:
+// the float sums are then the same left-to-right additions a re-sum over
+// the whole history would perform, bit for bit.
+func (s *OnlineSummary) add(r *RoundResult) {
+	s.Rounds++
+	if r.Err != nil {
+		s.InfeasibleRounds++
+		return
+	}
+	s.SocialCost += r.Outcome.SocialCost
+	s.ScaledCost += r.Outcome.ScaledCost
+	s.TotalPayment += r.Outcome.TotalPayment()
+	s.WinningBids += len(r.Outcome.Winners)
+	if r.Outcome.Dual != nil && r.Outcome.Dual.Ratio() > s.MaxCertRatio {
+		s.MaxCertRatio = r.Outcome.Dual.Ratio()
+	}
 }
 
 // CompetitiveBound returns the certified competitive ratio αβ/(β−1) of

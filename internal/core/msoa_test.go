@@ -1,7 +1,10 @@
 package core
 
 import (
+	"encoding/json"
 	"math"
+	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -88,7 +91,7 @@ func TestMSOACapacityExcludesBids(t *testing.T) {
 	if got := r2.Instance.Bids[res2.Outcome.Winners[0]].Bidder; got != 2 {
 		t.Fatalf("round 2 winner = bidder %d, want 2", got)
 	}
-	if err := VerifyCapacity(cfg, []Round{r1, r2}, m.Results()); err != nil {
+	if err := VerifyCapacity(cfg, []Round{r1, r2}, []*RoundResult{res1, res2}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -112,7 +115,7 @@ func TestMSOAWindowsExcludeBids(t *testing.T) {
 	if got := r2.Instance.Bids[res2.Outcome.Winners[0]].Bidder; got != 1 {
 		t.Fatalf("round 2 winner = bidder %d, want 1 (now arrived)", got)
 	}
-	if err := VerifyWindows(cfg, []Round{r1, r2}, m.Results()); err != nil {
+	if err := VerifyWindows(cfg, []Round{r1, r2}, []*RoundResult{res1, res2}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -414,4 +417,132 @@ func TestTotalPaymentDeterministic(t *testing.T) {
 			t.Fatalf("call %d: TotalPayment %v, want %v (summation order leaked)", i, got, want)
 		}
 	}
+}
+
+// historyRounds is an online run with capacity-limited bidders (so ψ
+// moves the scaled prices), certificates on, and every fifth round
+// uncoverable, so the summary folds costs, payments, winners, the
+// certified ratio and infeasible rounds alike.
+func historyRounds(n int) []Round {
+	rng := rand.New(rand.NewSource(41))
+	rounds := make([]Round, 0, n)
+	for t := 1; t <= n; t++ {
+		ins := randomInstance(rng, 8, 1+rng.Intn(3), 2)
+		if t%5 == 0 {
+			ins = &Instance{Demand: []int{3}}
+		}
+		rounds = append(rounds, Round{T: t, Instance: ins})
+	}
+	return rounds
+}
+
+var historyConfig = MSOAConfig{DefaultCapacity: 40, CapacityExemptFrom: 9}
+
+// foldResults is the in-order re-sum over returned round results that
+// Summary used to perform over a retained history.
+func foldResults(results []*RoundResult) OnlineSummary {
+	var s OnlineSummary
+	for _, r := range results {
+		s.Rounds++
+		if r.Err != nil {
+			s.InfeasibleRounds++
+			continue
+		}
+		s.SocialCost += r.Outcome.SocialCost
+		s.ScaledCost += r.Outcome.ScaledCost
+		s.TotalPayment += r.Outcome.TotalPayment()
+		s.WinningBids += len(r.Outcome.Winners)
+		if r.Outcome.Dual != nil && r.Outcome.Dual.Ratio() > s.MaxCertRatio {
+			s.MaxCertRatio = r.Outcome.Dual.Ratio()
+		}
+	}
+	return s
+}
+
+func sameSummary(a, b OnlineSummary) bool {
+	bits := math.Float64bits
+	return a.Rounds == b.Rounds && a.InfeasibleRounds == b.InfeasibleRounds &&
+		a.WinningBids == b.WinningBids &&
+		bits(a.SocialCost) == bits(b.SocialCost) &&
+		bits(a.ScaledCost) == bits(b.ScaledCost) &&
+		bits(a.TotalPayment) == bits(b.TotalPayment) &&
+		bits(a.MaxCertRatio) == bits(b.MaxCertRatio)
+}
+
+// TestMSOASummaryFoldsReturnedResults: MSOA keeps no round history, so
+// its running Summary must equal, bit for bit, the in-order sum of the
+// RoundResults RunRound returned.
+func TestMSOASummaryFoldsReturnedResults(t *testing.T) {
+	m := NewMSOA(historyConfig)
+	var results []*RoundResult
+	for _, r := range historyRounds(60) {
+		results = append(results, m.RunRound(r))
+		if got, want := *m.Summary(), foldResults(results); !sameSummary(got, want) {
+			t.Fatalf("after round %d: Summary = %+v, in-order fold = %+v", r.T, got, want)
+		}
+	}
+	if s := m.Summary(); s.InfeasibleRounds != 12 || s.WinningBids == 0 || s.MaxCertRatio <= 1 {
+		t.Fatalf("scenario does not exercise every summary field: %+v", s)
+	}
+}
+
+// TestRestoreMSOAContinuesSummary: a mechanism restored from a mid-run
+// snapshot (through its JSON encoding, as WAL recovery does) continues
+// to the same Summary and state hash as the uninterrupted run.
+func TestRestoreMSOAContinuesSummary(t *testing.T) {
+	rounds := historyRounds(40)
+	whole := NewMSOA(historyConfig)
+	first := NewMSOA(historyConfig)
+	for _, r := range rounds[:17] {
+		whole.RunRound(r)
+		first.RunRound(r)
+	}
+	data, err := json.Marshal(first.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st MSOAState
+	if err := json.Unmarshal(data, &st); err != nil {
+		t.Fatal(err)
+	}
+	restored := RestoreMSOA(historyConfig, &st)
+	for _, r := range rounds[17:] {
+		whole.RunRound(r)
+		restored.RunRound(r)
+	}
+	if !sameSummary(*restored.Summary(), *whole.Summary()) {
+		t.Fatalf("restored Summary = %+v, uninterrupted = %+v", restored.Summary(), whole.Summary())
+	}
+	if got, want := restored.Snapshot().Hash(), whole.Snapshot().Hash(); got != want {
+		t.Fatalf("restored state hash %s, uninterrupted %s", got, want)
+	}
+}
+
+// TestMSOALiveHeapIsHistoryFree: a long run retains nothing per round.
+// A mechanism that kept every RoundResult would hold at least the 8 KiB
+// scaled-price vector of each 1k-bid round — 16 MiB over 2000 rounds.
+func TestMSOALiveHeapIsHistoryFree(t *testing.T) {
+	const rounds, bidders = 2000, 1000
+	ins := &Instance{Demand: []int{2, 2}}
+	for b := 1; b <= bidders; b++ {
+		p := float64(10 + b%37)
+		ins.Bids = append(ins.Bids, Bid{Bidder: b, Price: p, TrueCost: p, Covers: []int{b % 2}, Units: 1})
+	}
+	m := NewMSOA(MSOAConfig{Options: Options{SkipCertificate: true}})
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for t := 1; t <= rounds; t++ {
+		m.RunRound(Round{T: t, Instance: ins})
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if s := m.Summary(); s.Rounds != rounds || s.InfeasibleRounds != 0 {
+		t.Fatalf("summary %+v, want %d feasible rounds", s, rounds)
+	}
+	const bound = 4 << 20
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > bound {
+		t.Fatalf("live heap grew %d KiB over %d rounds, bound %d KiB", grew>>10, rounds, bound>>10)
+	}
+	runtime.KeepAlive(m)
 }

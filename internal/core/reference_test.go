@@ -247,7 +247,7 @@ func referenceSSAMScaled(ins *Instance, scaled []float64, opts Options) (*Outcom
 	refComputePayments(ins, scaled, out.Winners, opts, out.Payments)
 
 	if cert != nil {
-		out.Dual = cert.finish(out)
+		out.Dual = cert.finish(out, bidderPriceSpread(ins, scaled))
 	}
 	return out, nil
 }
@@ -317,4 +317,35 @@ func referenceBudgetedSSAM(ins *Instance, budget float64, opts Options) (*Budget
 
 	out.UncoveredDemand = cs.deficit
 	return out, nil
+}
+
+// bidderPriceSpread returns Ξ: the maximum over bidders of the ratio of its
+// most to least expensive alternative bid (scaled prices). With one bid per
+// bidder Ξ = 1 and the certificate collapses to the plain H_n bound, as the
+// paper notes after Theorem 3. This per-bidder map formulation is the
+// oracle for kernel.priceSpread.
+func bidderPriceSpread(ins *Instance, scaled []float64) float64 {
+	type span struct{ lo, hi float64 }
+	spans := make(map[int]*span)
+	for i := range ins.Bids {
+		p := scaled[i]
+		s := spans[ins.Bids[i].Bidder]
+		if s == nil {
+			spans[ins.Bids[i].Bidder] = &span{lo: p, hi: p}
+			continue
+		}
+		if p < s.lo {
+			s.lo = p
+		}
+		if p > s.hi {
+			s.hi = p
+		}
+	}
+	xi := 1.0
+	for _, s := range spans {
+		if s.lo > 0 && s.hi/s.lo > xi {
+			xi = s.hi / s.lo
+		}
+	}
+	return xi
 }

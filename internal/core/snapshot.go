@@ -82,7 +82,7 @@ func RestoreMSOA(cfg MSOAConfig, st *MSOAState) *MSOA {
 			m.chi[e.Bidder] = e.Chi
 		}
 	}
-	m.base = st.Summary
+	m.sum = st.Summary
 	return m
 }
 

@@ -119,8 +119,9 @@ func SSAM(ins *Instance, opts Options) (*Outcome, error) {
 //
 // It runs on the pooled flat kernel (kernel.go): a CSR cover view with a
 // compact swap-delete candidate list for selection, per-iteration
-// checkpoints feeding the critical-value payment phase, and a bounded
-// worker pool fanning the per-winner replays out. The straightforward
+// checkpoints (θ and score per winner, one until stamp per bid) feeding
+// the critical-value payment phase, and a bounded worker pool fanning the
+// per-winner replays out. The straightforward
 // implementation it is bit-identical to lives in reference_test.go and is
 // exercised against this path by the differential property/fuzz tests.
 func ssamScaled(ins *Instance, scaled []float64, opts Options) (*Outcome, error) {
@@ -149,7 +150,7 @@ func ssamScaled(ins *Instance, scaled []float64, opts Options) (*Outcome, error)
 	kn.computePayments(ins, opts, out.Payments)
 
 	if cert != nil {
-		out.Dual = cert.finish(out)
+		out.Dual = cert.finish(out, kn.priceSpread())
 		if opts.Tracer != nil {
 			opts.Tracer.Emit(obs.Certificate{
 				Ratio:            out.Dual.Ratio(),
@@ -224,13 +225,15 @@ func (cb *certBuilder) record(_ int, b *Bid, gains []int, price float64, margina
 	cb.iteration++
 }
 
-func (cb *certBuilder) finish(out *Outcome) *DualCertificate {
+// finish builds the certificate of the completed run; xi is the
+// instance's bidder price spread Ξ.
+func (cb *certBuilder) finish(out *Outcome, xi float64) *DualCertificate {
 	ins := cb.ins
 	cert := &DualCertificate{
 		UnitPrices: cb.unitPrices,
 		UnitTimes:  cb.unitTimes,
 		W:          harmonic(maxCoverCapacity(ins)),
-		Xi:         bidderPriceSpread(ins, cb.scaled),
+		Xi:         xi,
 	}
 	cert.Primal = out.ScaledCost
 
@@ -360,31 +363,29 @@ func maxCoverCapacity(ins *Instance) int {
 	return maxCap
 }
 
-// bidderPriceSpread returns Ξ: the maximum over bidders of the ratio of its
+// priceSpread returns Ξ: the maximum over bidders of the ratio of its
 // most to least expensive alternative bid (scaled prices). With one bid per
 // bidder Ξ = 1 and the certificate collapses to the plain H_n bound, as the
-// paper notes after Theorem 3.
-func bidderPriceSpread(ins *Instance, scaled []float64) float64 {
-	type span struct{ lo, hi float64 }
-	spans := make(map[int]*span)
-	for i := range ins.Bids {
-		p := scaled[i]
-		s := spans[ins.Bids[i].Bidder]
-		if s == nil {
-			spans[ins.Bids[i].Bidder] = &span{lo: p, hi: p}
-			continue
-		}
-		if p < s.lo {
-			s.lo = p
-		}
-		if p > s.hi {
-			s.hi = p
-		}
-	}
+// paper notes after Theorem 3. It walks the kernel's bidder groups, each in
+// ascending bid order, so no per-round map is built; a max over groups does
+// not depend on their order, so Ξ is bit-identical to the per-bidder map
+// formulation kept as the oracle in reference_test.go.
+func (kn *kernel) priceSpread() float64 {
 	xi := 1.0
-	for _, s := range spans {
-		if s.lo > 0 && s.hi/s.lo > xi {
-			xi = s.hi / s.lo
+	for g := 0; g+1 < len(kn.groupStart); g++ {
+		bids := kn.groupBids[kn.groupStart[g]:kn.groupStart[g+1]]
+		lo, hi := kn.scaled[bids[0]], kn.scaled[bids[0]]
+		for _, b := range bids[1:] {
+			p := kn.scaled[b]
+			if p < lo {
+				lo = p
+			}
+			if p > hi {
+				hi = p
+			}
+		}
+		if lo > 0 && hi/lo > xi {
+			xi = hi / lo
 		}
 	}
 	return xi

@@ -289,7 +289,10 @@ func (fs *fleetSession) loop() {
 }
 
 // onAnnounce builds and submits the whole session's round answer as one
-// Multi batch after the configured think time.
+// Multi batch after the configured think time. The batch is counted in
+// bidsSent BEFORE the write: once the bytes are out the server may clear
+// the round, and a reader of BidsSent after the round must see them.
+// A failed write rolls the count back.
 func (fs *fleetSession) onAnnounce(msg *platform.AnnounceMsg) {
 	if msg == nil || len(msg.Demand) == 0 {
 		return
@@ -298,21 +301,22 @@ func (fs *fleetSession) onAnnounce(msg *platform.AnnounceMsg) {
 	if fs.f.cfg.ThinkTime > 0 {
 		time.Sleep(fs.f.cfg.ThinkTime)
 	}
+	var err error
+	var n int64
 	if !fs.f.cfg.DynamicBids {
-		if err := fs.sendStatic(msg); err != nil {
-			fs.f.errs.Add(1)
-			return
-		}
-		fs.f.bidsSent.Add(int64(fs.count))
-		return
+		n = int64(fs.count)
+		fs.f.bidsSent.Add(n)
+		err = fs.sendStatic(msg)
+	} else {
+		fs.buildBatch(msg.T, len(msg.Demand))
+		n = int64(len(fs.multi))
+		fs.f.bidsSent.Add(n)
+		err = fs.send(&platform.Envelope{Type: platform.TypeBid, Bid: &platform.BidSubmitMsg{T: msg.T, Multi: fs.multi}})
 	}
-	fs.buildBatch(msg.T, len(msg.Demand))
-	env := &platform.Envelope{Type: platform.TypeBid, Bid: &platform.BidSubmitMsg{T: msg.T, Multi: fs.multi}}
-	if err := fs.send(env); err != nil {
+	if err != nil {
+		fs.f.bidsSent.Add(-n)
 		fs.f.errs.Add(1)
-		return
 	}
-	fs.f.bidsSent.Add(int64(len(fs.multi)))
 }
 
 // buildBatch fills fs.multi with one deterministic bid set per agent:

@@ -224,13 +224,14 @@ func (c *conn) readLine(buf *[]byte) ([]byte, error) {
 	}
 }
 
-// recvInto decodes the next message into env, reusing env's existing
-// message structs and slice capacities (encoding/json unmarshals into
-// non-nil pointers and appends into spare slice capacity). The caller
-// owns the reset discipline: clear env between messages so a field the
-// peer omitted cannot inherit a stale value from the previous message.
-// Used by the server's bid ingest loop, where everything decoded is
-// copied out (into the CSR arena) before the next receive.
+// recvInto decodes the next message into env. A canonical bid line goes
+// through decodeCanonicalBid, which reuses env's bid storage from the
+// previous message and allocates nothing in steady state; every other
+// line is decoded by encoding/json into a fresh envelope, so env always
+// ends up equal to a fresh decode of the line and a field the peer
+// omitted never inherits a stale value. Used by the server's bid ingest
+// loop, where everything decoded is copied out (into the CSR arena)
+// before the next receive.
 func (c *conn) recvInto(env *Envelope, buf *[]byte, timeout time.Duration) error {
 	if timeout > 0 {
 		if err := c.raw.SetReadDeadline(time.Now().Add(timeout)); err != nil {
@@ -245,6 +246,10 @@ func (c *conn) recvInto(env *Envelope, buf *[]byte, timeout time.Duration) error
 	if err != nil {
 		return err
 	}
+	if decodeCanonicalBid(env, line) {
+		return nil
+	}
+	*env = Envelope{}
 	if err := json.Unmarshal(line, env); err != nil {
 		return fmt.Errorf("%w: bad JSON: %v", ErrProtocol, err)
 	}
@@ -252,21 +257,6 @@ func (c *conn) recvInto(env *Envelope, buf *[]byte, timeout time.Duration) error
 		return fmt.Errorf("%w: missing message type", ErrProtocol)
 	}
 	return nil
-}
-
-// resetForReuse clears the envelope for the next recvInto while keeping
-// the bid submission's allocated storage — the one message type that is
-// both hot and large. All other message pointers are dropped so a stale
-// struct can never leak across message types.
-func (env *Envelope) resetForReuse() {
-	bid := env.Bid
-	*env = Envelope{}
-	if bid != nil {
-		bid.T = 0
-		bid.Bids = bid.Bids[:0]
-		bid.Multi = bid.Multi[:0]
-		env.Bid = bid
-	}
 }
 
 // recv reads one envelope, bounded by timeout (0 means no deadline).

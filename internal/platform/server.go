@@ -424,7 +424,6 @@ func (s *Server) handle(ctx context.Context, c *conn) {
 	var renv Envelope
 	var lineBuf []byte
 	for {
-		renv.resetForReuse()
 		if err := c.recvInto(&renv, &lineBuf, 0); err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && ctx.Err() == nil {
 				s.logger.Printf("agent %d read: %v", hello.AgentID, err)
