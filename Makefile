@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check cover fuzz soak soak-quick soak-crash soak-pipeline soak-workload bench bench-core bench-core-sweep bench-guard bench-load bench-scaling bench-repro repro arena
+.PHONY: all build test check cover fuzz soak soak-quick soak-equivalence soak-workload bench bench-core bench-core-sweep bench-guard bench-load bench-scaling bench-repro repro arena
 
 all: build
 
@@ -19,7 +19,8 @@ test:
 # bounded run of the reference/optimized SSAM differential fuzzer and of
 # the canonical-bid-decoder vs encoding/json fuzzer (their seed corpora
 # also run as plain tests, so both equivalences are standing gates), then a quick bench-repro smoke run proving the
-# end-to-end figure pipeline and its wall-clock report still work.
+# end-to-end figure pipeline and its wall-clock report still work, the
+# arena smoke run, and the coverage floor. CI runs it as one step.
 check:
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt"; exit 1; fi
@@ -90,23 +91,19 @@ soak-quick:
 		echo "auditor failed to catch the broken payment rule"; exit 1; \
 	else echo "broken payment rule caught as expected"; fi
 
-# soak-crash is the durability gate: the builtin crash scenario kills the
+# soak-equivalence is the durable-record gate: for each builtin comparison
+# scenario, chaos.Equivalent clears the workload once as the serial,
+# crash-free baseline and once per variant, and exits non-zero unless
+# every variant is byte-identical to it (same WAL bytes, same ψ-state
+# hash, same OnlineSummary). The crash scenario's variant kills the
 # platform at every scripted crash point (mid-gather, pre-announce,
-# post-announce), recovers each time from snapshot + WAL-suffix replay,
-# and exits non-zero unless the recovered run is byte-identical to an
-# uninterrupted baseline (same WAL bytes, same ψ-state hash, same
-# OnlineSummary).
-soak-crash:
+# post-announce) and recovers from snapshot + WAL-suffix replay; the
+# pipeline scenario's variant settles round t while round t+1 gathers.
+# Both scenarios also run a traced pass and a payment-parallelism-4 pass:
+# observing and parallelising must not change outcomes.
+soak-equivalence:
 	$(GO) build -o /tmp/edgeauction-chaos ./cmd/chaos
 	/tmp/edgeauction-chaos -scenario crash -quiet
-
-# soak-pipeline is the overlap-determinism gate: the builtin pipeline
-# scenario clears the same 120-round workload once through the serial
-# RunRound loop and once through the pipelined round engine (settle t
-# overlapping gather t+1), and exits non-zero unless the two passes are
-# byte-identical (same WAL bytes, same ψ-state hash, same OnlineSummary).
-soak-pipeline:
-	$(GO) build -o /tmp/edgeauction-chaos ./cmd/chaos
 	/tmp/edgeauction-chaos -scenario pipeline -quiet
 
 # soak-workload is the topology-driven demand gate: the builtin overload
@@ -122,7 +119,7 @@ soak-workload:
 	cmp /tmp/edgeauction-soak-wl-a.jsonl /tmp/edgeauction-soak-wl-b.jsonl
 
 # soak runs every builtin chaos scenario, including a long churn run.
-soak: soak-quick soak-crash soak-pipeline soak-workload
+soak: soak-quick soak-equivalence soak-workload
 	/tmp/edgeauction-chaos -scenario churn -rounds 1000 -quiet
 	/tmp/edgeauction-chaos -scenario faults -quiet
 	/tmp/edgeauction-chaos -scenario capacity -quiet

@@ -14,11 +14,15 @@
 //
 // The audit log is deterministic: two runs of the same scenario and seed
 // are byte-identical, which is what `make soak-quick` asserts with cmp.
-// Crash scenarios (soak-crash) and pipeline scenarios (soak-pipeline)
-// extend the same idea to the durable record: the recovered —
-// respectively, overlapped — run must match its baseline byte-for-byte.
+// Comparison scenarios (those scripting platform crashes or marked
+// pipelined; `make soak-equivalence`) extend the same idea to the durable
+// record: chaos.Equivalent runs a serial, crash-free baseline and each of
+// the scenario's variants — kill/recover, pipelined, traced, parallel
+// payments — and every variant must match the baseline byte-for-byte.
+// The auditor's flags (-audit-out, -trace-out, -dump-dir,
+// -break-payments, -max-violations) are rejected on them.
 // Exit status: 0 on a clean run, 1 on operational errors, 2 when the
-// auditor found invariant violations or a comparison run diverged.
+// auditor found invariant violations or a comparison variant diverged.
 package main
 
 import (
@@ -52,9 +56,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		breakPayments = fs.Bool("break-payments", false, "corrupt every award by 10% so the auditor must object")
 		maxViolations = fs.Int("max-violations", 0, "stop after N violations (0 = 1; negative = collect all)")
 		quiet         = fs.Bool("quiet", false, "suppress progress logging")
-		crashDir      = fs.String("crash-dir", "", "working dir for platform-crash and pipeline comparison runs (default: a temp dir)")
-		snapshotEvery = fs.Int("snapshot-every", 10, "checkpoint the crashed pass every N rounds (platform-crash runs; 0 disables)")
-		fsync         = fs.Bool("fsync", false, "fsync the WAL on every append (platform-crash runs)")
+		crashDir      = fs.String("crash-dir", "", "working dir for comparison scenarios; each pass clears its own WAL and snapshots there first (default: a temp dir)")
+		snapshotEvery = fs.Int("snapshot-every", 10, "checkpoint the crash variant every N rounds (0 disables)")
+		fsync         = fs.Bool("fsync", false, "fsync the WAL on every append (every pass of a comparison scenario)")
 		mechanism     = fs.String("mechanism", "", "override the scenario mechanism spec, e.g. 'posted-price' or 'double-auction:overbook=1.25'")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -102,11 +106,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	if len(sc.PlatformCrashes) > 0 {
-		return runCrash(sc, *crashDir, *snapshotEvery, *fsync, *quiet, stdout, stderr)
-	}
-	if sc.Pipelined {
-		return runPipeline(sc, *crashDir, *fsync, *quiet, stdout, stderr)
+	if len(sc.PlatformCrashes) > 0 || sc.Pipelined {
+		var auditOnly []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "audit-out", "trace-out", "dump-dir", "break-payments", "max-violations":
+				auditOnly = append(auditOnly, "-"+f.Name)
+			}
+		})
+		if len(auditOnly) > 0 {
+			fmt.Fprintf(stderr, "chaos: %s only applies to audited scenarios; %s is a comparison scenario\n",
+				strings.Join(auditOnly, ", "), sc.Name)
+			return 1
+		}
+		return runEquivalent(sc, *crashDir, *snapshotEvery, *fsync, *quiet, stdout, stderr)
 	}
 
 	cfg := chaos.Config{
@@ -166,74 +179,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// runCrash executes a platform kill/restart scenario: the platform is
-// killed at each scripted crash point, recovered from snapshot +
-// WAL-suffix replay, and the run is compared byte-for-byte against an
-// uninterrupted pass. Exit 2 on any divergence.
-func runCrash(sc *chaos.Scenario, dir string, snapshotEvery int, fsync, quiet bool, stdout, stderr io.Writer) int {
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "chaos-crash-")
-		if err != nil {
-			fmt.Fprintf(stderr, "chaos: %v\n", err)
-			return 1
-		}
-		defer os.RemoveAll(tmp)
-		dir = tmp
-	}
-	cfg := chaos.CrashConfig{Scenario: sc, Dir: dir, SnapshotEvery: snapshotEvery, Fsync: fsync}
+// runEquivalent executes a comparison scenario: the serial, crash-free
+// baseline and each of the scenario's variants (chaos.ScenarioVariants),
+// compared byte-for-byte. Exit 2 when any variant diverges.
+func runEquivalent(sc *chaos.Scenario, dir string, snapshotEvery int, fsync, quiet bool, stdout, stderr io.Writer) int {
+	env := chaos.Env{Dir: dir, Fsync: fsync}
 	if !quiet {
-		cfg.Logger = log.New(stderr, "", 0)
+		env.Logger = log.New(stderr, "", 0)
 	}
-	res, err := chaos.RunCrash(cfg)
+	res, err := chaos.Equivalent(sc, env, chaos.ScenarioVariants(sc, snapshotEvery)...)
 	if err != nil {
 		fmt.Fprintf(stderr, "chaos: %v\n", err)
 		return 1
 	}
-	fmt.Fprintf(stdout, "scenario %s seed %d: %d rounds, %d platform crashes, %d recoveries (%d records replayed, %d snapshots)\n",
-		res.Scenario, res.Seed, res.Rounds, res.Crashes, res.Recoveries, res.Replayed, res.Snapshots)
-	fmt.Fprintf(stdout, "state: baseline %s, recovered %s, WAL match %v\n",
-		short(res.BaselineHash), short(res.RecoveredHash), res.WALMatch)
+	fmt.Fprintf(stdout, "scenario %s seed %d: %d rounds, baseline state %s\n",
+		res.Scenario, res.Seed, res.Rounds, short(res.Baseline.Hash))
+	for _, v := range res.Variants {
+		fmt.Fprintf(stdout, "variant %s: state %s, WAL match %v, match %v; %d platform crashes, %d recoveries (%d records replayed, %d snapshots)\n",
+			v.Name, short(v.Hash), v.WALMatch, v.Match, v.Crashes, v.Recoveries, v.Replayed, v.Snapshots)
+	}
 	if !res.Match {
-		fmt.Fprintf(stdout, "DIVERGENCE: recovered run does not match the uninterrupted baseline\n")
+		fmt.Fprintf(stdout, "DIVERGENCE: a variant does not match the serial, crash-free baseline\n")
 		fmt.Fprintf(stdout, "repro: go run ./cmd/chaos -scenario %s -seed %d -crash-dir <dir>\n", res.Scenario, res.Seed)
 		return 2
 	}
-	fmt.Fprintf(stdout, "recovered run is byte-identical to the uninterrupted baseline\n")
-	return 0
-}
-
-// runPipeline executes a serial-vs-pipelined comparison scenario: the
-// same workload cleared through the serial round loop and through the
-// overlapped round engine, compared byte-for-byte. Exit 2 on divergence.
-func runPipeline(sc *chaos.Scenario, dir string, fsync, quiet bool, stdout, stderr io.Writer) int {
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "chaos-pipeline-")
-		if err != nil {
-			fmt.Fprintf(stderr, "chaos: %v\n", err)
-			return 1
-		}
-		defer os.RemoveAll(tmp)
-		dir = tmp
-	}
-	cfg := chaos.PipelineConfig{Scenario: sc, Dir: dir, Fsync: fsync}
-	if !quiet {
-		cfg.Logger = log.New(stderr, "", 0)
-	}
-	res, err := chaos.RunPipelineCompare(cfg)
-	if err != nil {
-		fmt.Fprintf(stderr, "chaos: %v\n", err)
-		return 1
-	}
-	fmt.Fprintf(stdout, "scenario %s seed %d: %d rounds, serial vs pipelined\n",
-		res.Scenario, res.Seed, res.Rounds)
-	fmt.Fprintf(stdout, "state: serial %s, pipelined %s, WAL match %v\n",
-		short(res.SerialHash), short(res.PipelinedHash), res.WALMatch)
-	if !res.Match {
-		fmt.Fprintf(stdout, "DIVERGENCE: pipelined run does not match the serial baseline\n")
-		fmt.Fprintf(stdout, "repro: go run ./cmd/chaos -scenario %s -seed %d -crash-dir <dir>\n", res.Scenario, res.Seed)
-		return 2
-	}
-	fmt.Fprintf(stdout, "pipelined run is byte-identical to the serial baseline\n")
+	fmt.Fprintf(stdout, "every variant is byte-identical to the serial, crash-free baseline\n")
 	return 0
 }
 

@@ -103,3 +103,63 @@ func TestBadInvocations(t *testing.T) {
 		}
 	}
 }
+
+// TestComparisonReusedDir runs the builtin crash scenario twice in one
+// -crash-dir: each pass must start from an empty WAL and snapshot dir, so
+// both runs match and report the same crash/recovery counts.
+func TestComparisonReusedDir(t *testing.T) {
+	dir := t.TempDir()
+	const want = "variant crash: state 128d2c976d4e, WAL match true, match true; 6 platform crashes, 6 recoveries (23 records replayed, 5 snapshots)"
+	for i := 1; i <= 2; i++ {
+		var out, errOut bytes.Buffer
+		if code := run([]string{"-scenario", "crash", "-quiet", "-crash-dir", dir}, &out, &errOut); code != 0 {
+			t.Fatalf("run %d: exit %d: %s%s", i, code, out.String(), errOut.String())
+		}
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("run %d: output missing %q:\n%s", i, want, out.String())
+		}
+	}
+}
+
+// TestPipelineComparisonExitsZero dispatches the pipeline scenario through
+// the same comparison branch and prints one line per variant.
+func TestPipelineComparisonExitsZero(t *testing.T) {
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-scenario", "pipeline", "-rounds", "15", "-quiet"}, &out, &errOut); code != 0 {
+		t.Fatalf("exit %d: %s%s", code, out.String(), errOut.String())
+	}
+	for _, v := range []string{"pipelined", "traced", "parallel-payments"} {
+		if !strings.Contains(out.String(), "variant "+v+": ") {
+			t.Errorf("output missing variant %s:\n%s", v, out.String())
+		}
+	}
+}
+
+// TestComparisonRejectsAuditorFlags: the auditor's flags mean nothing to a
+// comparison scenario, so setting one is an error naming it rather than a
+// silently ignored request.
+func TestComparisonRejectsAuditorFlags(t *testing.T) {
+	audit := filepath.Join(t.TempDir(), "audit.jsonl")
+	for _, tc := range []struct {
+		scenario string
+		flags    []string
+	}{
+		{"crash", []string{"-break-payments"}},
+		{"crash", []string{"-max-violations", "3"}},
+		{"crash", []string{"-dump-dir", t.TempDir()}},
+		{"pipeline", []string{"-audit-out", audit}},
+		{"pipeline", []string{"-trace-out", audit}},
+	} {
+		var out, errOut bytes.Buffer
+		args := append([]string{"-scenario", tc.scenario, "-quiet"}, tc.flags...)
+		if code := run(args, &out, &errOut); code != 1 {
+			t.Errorf("%v: exit %d, want 1", args, code)
+		}
+		if !strings.Contains(errOut.String(), tc.flags[0]) {
+			t.Errorf("%v: error %q does not name %s", args, errOut.String(), tc.flags[0])
+		}
+	}
+	if _, err := os.Stat(audit); err == nil {
+		t.Errorf("rejected run wrote %s", audit)
+	}
+}

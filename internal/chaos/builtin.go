@@ -96,7 +96,7 @@ func capacityScenario() *Scenario {
 		WithDemand(DemandSpec{NeedyLo: 2, NeedyHi: 3, DemandLo: 1, DemandHi: 2, SpikeEvery: 20, SpikeFactor: 2})
 }
 
-// crashScenario is the soak-crash gate: 60 rounds over six
+// crashScenario is soak-equivalence's crash gate: 60 rounds over six
 // capacity-limited agents with the PLATFORM process killed at every
 // scripted crash point — mid-gather (round lost before logging),
 // pre-announce (logged but unannounced), post-announce (announced and
@@ -118,11 +118,11 @@ func crashScenario() *Scenario {
 		CrashPlatformAt(60, platform.CrashPostAnnounce)
 }
 
-// pipelineScenario is the overlap-determinism gate: 120 rounds over
-// eight capacity-limited agents cleared once serially and once through
-// the pipelined round engine with a real overlap window. Capacities and
-// recurring spikes keep ψ non-trivial, so the byte-compared WALs carry
-// real dual state, not zeros. Any reordering the overlap leaked into the
+// pipelineScenario is soak-equivalence's overlap-determinism gate: 120
+// rounds over eight capacity-limited agents cleared once serially and
+// once through the pipelined round engine with a real overlap window.
+// Capacities and recurring spikes keep ψ non-trivial, so the
+// byte-compared WALs carry real dual state, not zeros. Any reordering the overlap leaked into the
 // durable record — a bid attributed across rounds, a WAL append racing
 // an announce — shows up as a byte diff.
 func pipelineScenario() *Scenario {

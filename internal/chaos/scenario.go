@@ -11,8 +11,12 @@
 // testdata/scenarios) and replay byte-identically from a seed: every
 // random draw comes from a workload.DeriveSeed sub-stream keyed by
 // (round, agent), so the audit log two runs produce is comparable with
-// cmp(1). The cmd/chaos binary and the soak Makefile targets build on
-// exactly that property.
+// cmp(1). Comparison scenarios extend the property to the platform's
+// durable record: Equivalent runs a serial, crash-free baseline and a set
+// of execution variants (kill/recover, pipelined, traced, parallel
+// payments) and byte-compares their WALs, state hashes and summaries.
+// The cmd/chaos binary and the soak Makefile targets build on exactly
+// these properties.
 package chaos
 
 import (
@@ -144,18 +148,17 @@ type Scenario struct {
 	Events        []EventSpec     `json:"events,omitempty"`
 	Federation    *FederationSpec `json:"federation,omitempty"`
 	// PlatformCrashes scripts kill/restart points for the PLATFORM
-	// process itself (not an agent). A scenario carrying any entry runs
-	// under the crash harness (RunCrash) instead of the churn engine: the
-	// platform is killed at each scripted point, recovered from snapshot +
-	// WAL-suffix replay, and the run's final state is compared
-	// byte-for-byte against an uninterrupted pass.
+	// process itself (not an agent). A scenario carrying any entry is a
+	// comparison scenario (Equivalent) rather than an audited one: its
+	// crash variant kills the platform at each scripted point, recovers
+	// from snapshot + WAL-suffix replay, and must match an uninterrupted
+	// pass byte-for-byte.
 	PlatformCrashes []CrashSpec `json:"platform_crashes,omitempty"`
-	// Pipelined routes the scenario to the pipeline harness
-	// (RunPipelineCompare) instead of the churn engine: the same fixed
-	// workload runs once through the serial round loop and once through
-	// the overlapped round engine (platform.RunPipelined), and the two
-	// passes' WAL bytes, final state hash and summary must agree — the
-	// overlap is an implementation detail the durable record cannot see.
+	// Pipelined makes the scenario a comparison scenario (Equivalent)
+	// whose pipelined variant clears the rounds through the overlapped
+	// round engine (platform.RunPipelined); its WAL bytes, final state
+	// hash and summary must match the serial baseline's — the overlap is
+	// an implementation detail the durable record cannot see.
 	Pipelined bool `json:"pipelined,omitempty"`
 	// Mechanism selects the single-stage mechanism the platform (and the
 	// auditor's shadow replay) clears rounds through. Nil means SSAM and
@@ -244,8 +247,8 @@ func (s *Scenario) WithAgents(n, capacity int) *Scenario {
 // WithAgent appends one fully specified agent.
 func (s *Scenario) WithAgent(a AgentSpec) *Scenario { s.Agents = append(s.Agents, a); return s }
 
-// WithPipelined routes the scenario to the serial-vs-pipelined
-// comparison harness.
+// WithPipelined makes the scenario a comparison scenario with a
+// pipelined variant (see Scenario.Pipelined).
 func (s *Scenario) WithPipelined() *Scenario { s.Pipelined = true; return s }
 
 // WithDemand sets the demand process.

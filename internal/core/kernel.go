@@ -58,21 +58,21 @@ import (
 // silently truncating.
 
 // betterScore is THE greedy ordering, shared by every selection path (the
-// lazy-rescore heap behind selection and budgeted selection, and the
-// candidate scans behind the counterfactual suffix replays): (s1, b1) beats
-// (s2, b2) when its score is strictly lower, or on an exact score tie when
-// its bid index is lower. Centralizing the comparison keeps the tie-break
-// bit-identical across all paths — the reference's ascending scan realizes
-// the same order implicitly, and the differential fuzz gate holds every
-// path to it.
+// lazy-rescore heaps behind selection, budgeted selection, and the
+// counterfactual suffix replays): (s1, b1) beats (s2, b2) when its score
+// is strictly lower, or on an exact score tie when its bid index is lower.
+// Centralizing the comparison keeps the tie-break bit-identical across all
+// paths — the reference's ascending scan realizes the same order
+// implicitly, and the differential fuzz gate holds every path to it.
 func betterScore(s1 float64, b1 int32, s2 float64, b2 int32) bool {
 	return s1 < s2 || (s1 == s2 && b1 < b2)
 }
 
 // candSet is a compact candidate list with O(1) swap-delete membership:
 // list holds the live bid indices in arbitrary order, pos maps a bid index
-// to its position in list (-1 once removed). Scans must apply an explicit
-// lowest-bid-index tie-break, because swap-deletes permute list order.
+// to its position in list (-1 once removed). Swap-deletes permute list
+// order, so nothing may rely on it for the lowest-bid-index tie-break; the
+// heaps apply it explicitly through betterScore.
 //
 // until, when non-nil (the kernel's main run), stamps each removed bid
 // with clock at its removal — the number of payment checkpoints taken
@@ -436,34 +436,6 @@ func (kn *kernel) applyGains(b int32) []int {
 		kn.gains[i] = int(g)
 	}
 	return kn.gains
-}
-
-// selectBestIn returns the candidate bid minimizing the greedy metric at
-// theta via a full O(candidates) scan, removing dead candidates (marginal
-// 0 — permanent, since θ only grows) from cs as it scans. It returns
-// best = -1 when no live candidate remains. The swap-delete list is
-// scanned in permuted order, so the lowest-bid-index tie-break is applied
-// explicitly; this reproduces the reference's ascending-scan tie-break
-// exactly. No production path uses it anymore — every selection loop runs
-// on the lazy-rescore heap — but it stays as the scan baseline that
-// BenchmarkPriorityStructures (lazyheap_test.go) and the structure-choice
-// writeup in DESIGN.md §11 measure the heap against.
-func (kn *kernel) selectBestIn(cs *candSet, theta []int32) (best int32, bestScore float64, bestMarginal int) {
-	best, bestScore = -1, math.Inf(1)
-	for i := 0; i < len(cs.list); {
-		b := cs.list[i]
-		m := kn.marginalOf(b, theta)
-		if m <= 0 {
-			cs.removeAt(i)
-			continue
-		}
-		score := kn.scoreOf(b, m)
-		if betterScore(score, b, bestScore, best) {
-			best, bestScore, bestMarginal = b, score, m
-		}
-		i++
-	}
-	return best, bestScore, bestMarginal
 }
 
 // removeGroupIn removes every bid of bidder group g from cs.

@@ -28,12 +28,13 @@ package core
 // bids, because the heap orders by cached keys, every cached key
 // lower-bounds its true score, and ties compare by bid index — so the pop
 // sequence reproduces the reference implementation's ascending-scan
-// lowest-index tie-break bit for bit. The choice of a flat binary heap
-// over a pairing heap or bucket queue is benchmarked in
-// BenchmarkPriorityStructures (lazyheap_test.go): the slice-backed heap
-// wins on this workload (no per-node allocations, cache-contiguous
-// sifts), and a bucket queue would need float64 key quantization that
-// cannot preserve exact score ties.
+// lowest-index tie-break bit for bit; the differential oracle
+// (TestDifferentialSSAM, FuzzSSAMDifferential) holds the winner sequence
+// to it. The flat binary heap beat a full candidate scan and a pairing
+// heap on this workload (no per-node allocations, cache-contiguous
+// sifts; numbers in DESIGN.md §11 and under the scan-kernel label in
+// results/BENCH_core.json), and a bucket queue would need float64 key
+// quantization that cannot preserve exact score ties.
 type lazyHeap struct {
 	heap       []int32   // bid indices, min-ordered by (key, index)
 	key        []float64 // cached score per bid (lower bound of true score)

@@ -106,8 +106,9 @@ func (cs *refCoverageState) satisfied() bool { return cs.deficit <= 0 }
 // IS the lowest-index tie-break: an exact-score tie can never displace an
 // earlier winner (i > best whenever best is set), and no separate
 // `score == bestScore && i < best` branch is needed — that comparison is
-// unsatisfiable here. (The optimized kernel scans a swap-delete permuted
-// list and therefore DOES need the explicit tie-break; see selectBestIn.)
+// unsatisfiable here. (The optimized kernel pops a heap over a
+// swap-delete permuted candidate list and therefore DOES need the explicit
+// tie-break; see betterScore.)
 // It returns best = -1 when no active bid has positive marginal coverage.
 func refSelectBest(ins *Instance, scaled []float64, active []bool, cs *refCoverageState, metric GreedyMetric) (best int, bestScore float64, bestMarginal int) {
 	best, bestScore = -1, math.Inf(1)
