@@ -76,6 +76,8 @@ fuzz:
 		./internal/platform
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEnvelope$$' -fuzztime $(FUZZTIME) \
 		./internal/platform
+	$(GO) test -run '^$$' -fuzz '^FuzzReadInstance$$' -fuzztime $(FUZZTIME) \
+		./internal/workload
 
 # soak-quick is the chaos gate: the 250-round churn+fault scenario must
 # (a) produce a byte-identical audit log across two runs of the same seed

@@ -7,7 +7,6 @@ package edgeauction
 // run cmd/repro for the full paper-scale sweeps.
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -287,24 +286,6 @@ func BenchmarkDemandEstimate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if est.Estimate(in) < 0 {
 			b.Fatal("negative estimate")
-		}
-	}
-}
-
-// BenchmarkTraceRoundTrip measures trace encode+decode of a 10-round
-// scenario.
-func BenchmarkTraceRoundTrip(b *testing.B) {
-	scn := workload.Online(workload.NewRand(1), workload.OnlineConfig{
-		Rounds: 10, Stage: workload.InstanceConfig{Bidders: 25},
-	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := workload.WriteTrace(&buf, scn); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := workload.ReadTrace(&buf); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

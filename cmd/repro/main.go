@@ -160,7 +160,7 @@ func run(args []string) error {
 	gomaxprocs := fs.Int("gomaxprocs", 0, "cap GOMAXPROCS for this run (0 = leave unchanged; recorded in -bench-json for multicore sweeps)")
 	mechanism := fs.String("mechanism", "", "mechanism spec for the online figures, e.g. 'posted-price:epsilon=0.1' (empty = ssam; see internal/core.ParseMechanismSpec)")
 	topologyPath := fs.String("topology", "", "YAML service topology replacing the builtin graph of the workload figures (overload, spikes, frontier)")
-	var arenaSpecs specListFlag
+	var arenaSpecs core.MechanismSpecList
 	fs.Var(&arenaSpecs, "arena-spec", "mechanism spec to race in the arena (repeatable; default: ssam, posted-price, double-auction)")
 	arenaJSON := fs.String("arena-json", "", "file to write the arena result as JSON (e.g. results/ARENA.json)")
 	if err := fs.Parse(args); err != nil {
@@ -314,7 +314,7 @@ func run(args []string) error {
 	if want == "all" || want == "arena" {
 		ranAny = true
 		start := time.Now()
-		res, err := experiments.Arena(cfg, arenaSpecs.specs)
+		res, err := experiments.Arena(cfg, arenaSpecs)
 		if err != nil {
 			return fmt.Errorf("mechanism arena: %w", err)
 		}
@@ -399,29 +399,6 @@ func (b *benchReport) write(path string) error {
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return fmt.Errorf("write bench report: %w", err)
 	}
-	return nil
-}
-
-// specListFlag collects repeated -arena-spec values as parsed mechanism
-// specs.
-type specListFlag struct {
-	specs []core.MechanismSpec
-}
-
-func (s *specListFlag) String() string {
-	parts := make([]string, len(s.specs))
-	for i, spec := range s.specs {
-		parts[i] = spec.String()
-	}
-	return strings.Join(parts, ",")
-}
-
-func (s *specListFlag) Set(v string) error {
-	spec, err := core.ParseMechanismSpec(v)
-	if err != nil {
-		return err
-	}
-	s.specs = append(s.specs, spec)
 	return nil
 }
 

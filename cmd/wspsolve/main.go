@@ -1,22 +1,23 @@
-// Command wspsolve solves one winner selection problem instance from a
-// JSON file (or generates one), comparing the mechanisms side by side:
-// SSAM's greedy selection and payments, the offline optimum, and the
-// baselines. It is the workbench for inspecting a single disputed round.
+// Command wspsolve solves one winner selection problem instance from an
+// instance file (or generates one), comparing mechanisms side by side:
+// SSAM's greedy selection and payments, the offline optimum, and any
+// registered mechanism named by a -mechanism spec. It is the workbench
+// for inspecting a single round.
 //
 // Usage:
 //
 //	wspsolve -in instance.json
 //	wspsolve -gen -bidders 25 -seed 7 -out instance.json   # generate
-//	wspsolve -gen -bidders 25 -budget 500                  # budgeted run
+//	wspsolve -gen -mechanism budgeted-ssam:budget=500 -mechanism vcg
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"time"
 
-	"edgeauction/internal/baseline"
 	"edgeauction/internal/core"
 	"edgeauction/internal/optimal"
 	"edgeauction/internal/workload"
@@ -31,14 +32,14 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("wspsolve", flag.ContinueOnError)
-	in := fs.String("in", "", "instance JSON to solve")
+	in := fs.String("in", "", "instance file to solve (as written by -out)")
 	out := fs.String("out", "", "write the (possibly generated) instance here")
 	gen := fs.Bool("gen", false, "generate an instance instead of reading one")
 	bidders := fs.Int("bidders", 25, "bidders when generating")
 	seed := fs.Int64("seed", 1, "generator seed")
-	budget := fs.Float64("budget", 0, "also run the budget-capped auction with this payment budget")
-	optTime := fs.Duration("opt-time", 10*time.Second, "time budget for the exact solve")
-	vcg := fs.Bool("vcg", false, "also run VCG (|winners|+1 exact solves)")
+	optTime := fs.Duration("opt-time", 10*time.Second, "time budget for the OPT line's exact solve (a vcg spec runs at the solver's node budget instead: mechanisms must be deterministic)")
+	var specs core.MechanismSpecList
+	fs.Var(&specs, "mechanism", "also clear the instance with this mechanism spec, e.g. 'fixed-price:unit=12.5' or 'vcg' (repeatable; see internal/core.ParseMechanismSpec)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -94,23 +95,22 @@ func run(args []string) error {
 	fmt.Printf("OPT:     cost %10.2f  (%s, %d nodes)  SSAM/OPT = %.4f\n",
 		res.Cost, tag, res.Nodes, ssam.SocialCost/res.Cost)
 
-	if *budget > 0 {
-		bud, err := core.BudgetedSSAM(ins, *budget, core.Options{})
-		if err != nil {
-			return fmt.Errorf("budgeted SSAM: %w", err)
+	for _, spec := range specs {
+		out, err := core.RunMechanism(spec, ins, core.Options{})
+		infeasible := errors.Is(err, core.ErrInfeasible)
+		if err != nil && !infeasible {
+			return fmt.Errorf("%s: %w", spec, err)
 		}
-		fmt.Printf("BUDGET:  cost %10.2f  spent %10.2f / %.2f  coverage %.1f%%  rejected %d\n",
-			bud.SocialCost, bud.BudgetSpent, *budget,
-			100*bud.CoverageFraction(ins), len(bud.RejectedByBudget))
-	}
-
-	if *vcg {
-		v, err := baseline.VCG(ins, optimal.Options{TimeLimit: *optTime})
-		if err != nil {
-			return fmt.Errorf("VCG: %w", err)
+		if out == nil {
+			fmt.Printf("%s: infeasible\n", spec)
+			continue
 		}
-		fmt.Printf("VCG:     cost %10.2f  payment %10.2f  winners %3d\n",
-			v.SocialCost, v.TotalPayment(), len(v.Winners))
+		note := ""
+		if infeasible {
+			note = "  (infeasible)"
+		}
+		fmt.Printf("%s: cost %10.2f  payment %10.2f  winners %3d  coverage %5.1f%%%s\n",
+			spec, out.SocialCost, out.TotalPayment(), len(out.Winners), 100*out.CoverageFraction(ins), note)
 	}
 
 	fmt.Printf("\n%-8s %-6s %10s %10s\n", "winner", "bid", "price", "payment")

@@ -26,8 +26,19 @@ func TestGenerateSolveRoundTrip(t *testing.T) {
 }
 
 func TestBudgetedAndVCGModes(t *testing.T) {
-	if err := run([]string{"-gen", "-bidders", "6", "-seed", "2", "-budget", "150", "-vcg"}); err != nil {
+	if err := run([]string{"-gen", "-bidders", "6", "-seed", "2",
+		"-mechanism", "budgeted-ssam:budget=150", "-mechanism", "vcg",
+		"-mechanism", "fixed-price:unit=1"}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestRejectsBadMechanismSpec(t *testing.T) {
+	if err := run([]string{"-gen", "-mechanism", "no-such-mechanism"}); err == nil {
+		t.Fatal("want unknown-mechanism error")
+	}
+	if err := run([]string{"-gen", "-mechanism", "fixed-price"}); err == nil {
+		t.Fatal("want missing-unit-price error")
 	}
 }
 

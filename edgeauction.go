@@ -19,9 +19,12 @@
 //     competitive ratio αβ/(β−1).
 //   - Demand estimation (§III): waiting-time, processing-rate, and
 //     request-rate indicators combined with AHP-derived weights.
-//   - A discrete-event edge-cloud simulator, a workload/trace generator
-//     matching the paper's §V-A settings, offline-optimal solvers, baseline
-//     mechanisms, and a TCP auctioneer/agent platform.
+//   - A mechanism registry that races SSAM against the alternatives the
+//     paper argues against or that bound the design space: fixed and
+//     posted prices, an overbooking double auction, and VCG.
+//   - A discrete-event edge-cloud simulator, a workload generator
+//     matching the paper's §V-A settings, an offline-optimal solver, and a
+//     TCP auctioneer/agent platform.
 //
 // # Quick start
 //
@@ -38,7 +41,6 @@ import (
 	"context"
 	"io"
 
-	"edgeauction/internal/baseline"
 	"edgeauction/internal/core"
 	"edgeauction/internal/demand"
 	"edgeauction/internal/experiments"
@@ -62,10 +64,6 @@ var (
 	ErrOptimalInfeasible = optimal.ErrInfeasible
 	// ErrBadInstance reports a malformed instance file.
 	ErrBadInstance = workload.ErrBadInstance
-	// ErrBadTrace reports a malformed trace file.
-	ErrBadTrace = workload.ErrBadTrace
-	// ErrUncovered reports a baseline mechanism leaving demand uncovered.
-	ErrUncovered = baseline.ErrUncovered
 	// ErrTruncated reports a torn trailing record in a JSONL trace, audit
 	// log, or WAL — the crash cut. Readers return every complete preceding
 	// record alongside it, so crash-cut logs stay usable.
@@ -174,7 +172,9 @@ const (
 	MechanismSSAM          = core.NameSSAM
 	MechanismBudgetedSSAM  = core.NameBudgetedSSAM
 	MechanismPostedPrice   = core.NamePostedPrice
+	MechanismFixedPrice    = core.NameFixedPrice
 	MechanismDoubleAuction = core.NameDoubleAuction
+	MechanismVCG           = optimal.NameVCG
 )
 
 // Re-exported mechanism constants.

@@ -76,22 +76,26 @@ func TestPipelineSimulatorToAuction(t *testing.T) {
 	}
 }
 
-// TestPipelineTraceToMechanisms generates a trace, round-trips it through
-// the on-disk format, and runs both the online mechanism and the offline
-// solver on what was read back — the workflow of a user replaying a
-// recorded production trace.
+// TestPipelineTraceToMechanisms generates a multi-round scenario,
+// round-trips every round through the on-disk instance format, and runs
+// both the online mechanism and the offline solver on what was read back
+// — the workflow of a user replaying recorded rounds.
 func TestPipelineTraceToMechanisms(t *testing.T) {
 	scn := workload.Online(workload.NewRand(5), workload.OnlineConfig{
 		Rounds: 4,
 		Stage:  workload.InstanceConfig{Bidders: 12},
 	})
-	var buf bytes.Buffer
-	if err := workload.WriteTrace(&buf, scn); err != nil {
-		t.Fatal(err)
-	}
-	replayed, err := workload.ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
+	replayed := &workload.Scenario{Capacity: scn.Capacity, Windows: scn.Windows}
+	for _, r := range scn.TrueRounds {
+		var buf bytes.Buffer
+		if err := workload.WriteInstance(&buf, r.Instance); err != nil {
+			t.Fatal(err)
+		}
+		ins, err := workload.ReadInstance(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replayed.TrueRounds = append(replayed.TrueRounds, core.Round{T: r.T, Instance: ins})
 	}
 
 	m := core.NewMSOA(replayed.Config(core.Options{}))

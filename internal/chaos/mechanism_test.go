@@ -120,6 +120,24 @@ func TestPostedPriceScenarioClean(t *testing.T) {
 	}
 }
 
+// TestFixedPriceScenarioClean: same for the fixed-price mechanism. Its
+// universal individual-rationality check is the one that catches a
+// winner paid only for the coverage it adds rather than its whole bid.
+func TestFixedPriceScenarioClean(t *testing.T) {
+	res, err := Run(Config{
+		Scenario: mechScenario("fp-clean", core.MechanismSpec{Name: core.NameFixedPrice, UnitPrice: 20}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Violations) != 0 {
+		t.Fatalf("honest fixed price flagged: %v", res.Violations)
+	}
+	if res.Rounds != 8 || res.Checks == 0 {
+		t.Fatalf("audited %d rounds with %d checks, want 8 rounds", res.Rounds, res.Checks)
+	}
+}
+
 // TestUndercutMechanismTripsIR: a mechanism paying below the report must
 // be flagged by the universal individual-rationality invariant — the
 // negative control proving the generalized auditor still bites.

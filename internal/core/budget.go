@@ -111,13 +111,3 @@ func BudgetedSSAM(ins *Instance, budget float64, opts Options) (*BudgetedOutcome
 	out.UncoveredDemand = kn.deficit
 	return out, nil
 }
-
-// CoverageFraction returns the share of total demand procured, 1 for a
-// fully covered round (and for rounds with zero demand).
-func (o *BudgetedOutcome) CoverageFraction(ins *Instance) float64 {
-	total := ins.TotalDemand()
-	if total == 0 {
-		return 1
-	}
-	return float64(total-o.UncoveredDemand) / float64(total)
-}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -13,7 +14,9 @@ import (
 // name, and a serializable MechanismSpec that travels through MSOAConfig,
 // platform.ServerConfig and chaos scenarios so every driver selects its
 // mechanism the same way. SSAM and BudgetedSSAM are the first
-// registrants; postedprice.go and doubleauction.go add the competitors.
+// registrants; postedprice.go and doubleauction.go add the competitors,
+// and internal/optimal registers VCG (binaries that do not link the exact
+// solver do not list it).
 //
 // Contract (see DESIGN.md §13): Clear must be a deterministic function of
 // (mechanism state, instance, options) — no wall clock, no global RNG —
@@ -76,6 +79,7 @@ const (
 	NameSSAM          = "ssam"
 	NameBudgetedSSAM  = "budgeted-ssam"
 	NamePostedPrice   = "posted-price"
+	NameFixedPrice    = "fixed-price"
 	NameDoubleAuction = "double-auction"
 )
 
@@ -91,6 +95,9 @@ type MechanismSpec struct {
 	Budget float64 `json:"budget,omitempty"`
 	// PostedPrice parameterizes NamePostedPrice; nil uses defaults.
 	PostedPrice *PostedPriceConfig `json:"posted_price,omitempty"`
+	// UnitPrice parameterizes NameFixedPrice (the price posted per unit
+	// of useful coverage).
+	UnitPrice float64 `json:"unit_price,omitempty"`
 	// DoubleAuction parameterizes NameDoubleAuction; nil uses defaults.
 	DoubleAuction *DoubleAuctionConfig `json:"double_auction,omitempty"`
 }
@@ -102,7 +109,7 @@ func (s MechanismSpec) IsSSAM() bool { return s.Name == "" || s.Name == NameSSAM
 
 // IsZero reports whether the spec is the zero value.
 func (s MechanismSpec) IsZero() bool {
-	return s.Name == "" && s.Budget == 0 && s.PostedPrice == nil && s.DoubleAuction == nil
+	return s.Name == "" && s.Budget == 0 && s.PostedPrice == nil && s.UnitPrice == 0 && s.DoubleAuction == nil
 }
 
 // String renders the spec in the "name:key=val,key=val" form accepted by
@@ -115,6 +122,9 @@ func (s MechanismSpec) String() string {
 	var params []string
 	if s.Budget != 0 {
 		params = append(params, "budget="+strconv.FormatFloat(s.Budget, 'g', -1, 64))
+	}
+	if s.UnitPrice != 0 {
+		params = append(params, "unit="+strconv.FormatFloat(s.UnitPrice, 'g', -1, 64))
 	}
 	if p := s.PostedPrice; p != nil {
 		for _, kv := range []struct {
@@ -150,6 +160,7 @@ func (s MechanismSpec) String() string {
 //	ssam
 //	budgeted-ssam:budget=500
 //	posted-price:epsilon=0.05,lo=10,hi=35
+//	fixed-price:unit=12.5
 //	double-auction:discount=0.9,overbook=1.25,penalty=0.5
 func ParseMechanismSpec(s string) (MechanismSpec, error) {
 	var spec MechanismSpec
@@ -208,6 +219,10 @@ func ParseMechanismSpec(s string) (MechanismSpec, error) {
 			cfg.Safety = v
 		}
 		spec.PostedPrice = cfg
+	case NameFixedPrice:
+		if v, ok := take("unit"); ok {
+			spec.UnitPrice = v
+		}
 	case NameDoubleAuction:
 		cfg := &DoubleAuctionConfig{}
 		if v, ok := take("discount"); ok {
@@ -221,11 +236,11 @@ func ParseMechanismSpec(s string) (MechanismSpec, error) {
 		}
 		spec.DoubleAuction = cfg
 	default:
-		// Unknown names may still be registered (e.g. test mechanisms);
-		// leave their parameters unparsed but reject them so typos fail
-		// loudly at the flag instead of at round time.
+		// Other registrants (VCG, test mechanisms) take no parameters;
+		// reject any so typos fail loudly at the flag instead of at
+		// round time.
 		if len(params) > 0 {
-			return spec, fmt.Errorf("core: mechanism spec %q: unknown mechanism takes no parameters", s)
+			return spec, fmt.Errorf("core: mechanism spec %q: %s takes no parameters", s, spec.Name)
 		}
 	}
 	if len(params) > 0 {
@@ -248,6 +263,29 @@ func (s MechanismSpec) validateName() error {
 	if _, ok := lookupFactory(s.Name); !ok {
 		return fmt.Errorf("core: unknown mechanism %q (have %s)", s.Name, strings.Join(MechanismNames(), ", "))
 	}
+	return nil
+}
+
+// MechanismSpecList is a flag.Value collecting the specs of a repeatable
+// "-mechanism"-style flag, each parsed by ParseMechanismSpec.
+type MechanismSpecList []MechanismSpec
+
+// String renders the specs comma-separated.
+func (l *MechanismSpecList) String() string {
+	parts := make([]string, len(*l))
+	for i, spec := range *l {
+		parts[i] = spec.String()
+	}
+	return strings.Join(parts, ",")
+}
+
+// Set parses one more spec.
+func (l *MechanismSpecList) Set(v string) error {
+	spec, err := ParseMechanismSpec(v)
+	if err != nil {
+		return err
+	}
+	*l = append(*l, spec)
 	return nil
 }
 
@@ -340,10 +378,16 @@ type budgetedSSAMMechanism struct{ budget float64 }
 
 func (budgetedSSAMMechanism) Name() string { return NameBudgetedSSAM }
 
+// Clear returns the partial outcome with a wrapped ErrInfeasible when the
+// budget runs out before the demand is covered, as the Mechanism contract
+// asks of every mechanism that cannot cover the demand.
 func (m budgetedSSAMMechanism) Clear(ins *Instance, opts Options) (*Outcome, error) {
 	bo, err := BudgetedSSAM(ins, m.budget, opts)
 	if err != nil {
 		return nil, err
+	}
+	if bo.UncoveredDemand > 0 {
+		return &bo.Outcome, fmt.Errorf("%w (budget %v exhausted with %d units uncovered)", ErrInfeasible, m.budget, bo.UncoveredDemand)
 	}
 	return &bo.Outcome, nil
 }
@@ -364,6 +408,12 @@ func init() {
 			cfg = *spec.PostedPrice
 		}
 		return NewPostedPrice(cfg), nil
+	})
+	RegisterMechanism(NameFixedPrice, func(spec MechanismSpec) (Mechanism, error) {
+		if !(spec.UnitPrice > 0) || math.IsInf(spec.UnitPrice, 0) {
+			return nil, fmt.Errorf("core: %s requires a positive finite unit price (got %v)", NameFixedPrice, spec.UnitPrice)
+		}
+		return fixedPrice{unit: spec.UnitPrice}, nil
 	})
 	RegisterMechanism(NameDoubleAuction, func(spec MechanismSpec) (Mechanism, error) {
 		var cfg DoubleAuctionConfig

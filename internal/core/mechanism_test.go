@@ -12,7 +12,7 @@ import (
 
 func TestMechanismRegistryBuiltins(t *testing.T) {
 	names := MechanismNames()
-	for _, want := range []string{NameSSAM, NameBudgetedSSAM, NamePostedPrice, NameDoubleAuction} {
+	for _, want := range []string{NameSSAM, NameBudgetedSSAM, NamePostedPrice, NameFixedPrice, NameDoubleAuction} {
 		found := false
 		for _, n := range names {
 			if n == want {
@@ -96,6 +96,7 @@ func TestParseMechanismSpec(t *testing.T) {
 			Name:          NameDoubleAuction,
 			DoubleAuction: &DoubleAuctionConfig{PenaltyRate: 0.25},
 		}},
+		{"fixed-price:unit=12.5", MechanismSpec{Name: NameFixedPrice, UnitPrice: 12.5}},
 	}
 	for _, tc := range cases {
 		got, err := ParseMechanismSpec(tc.in)
@@ -103,7 +104,7 @@ func TestParseMechanismSpec(t *testing.T) {
 			t.Errorf("parse %q: %v", tc.in, err)
 			continue
 		}
-		if got.Name != tc.want.Name || got.Budget != tc.want.Budget {
+		if got.Name != tc.want.Name || got.Budget != tc.want.Budget || got.UnitPrice != tc.want.UnitPrice {
 			t.Errorf("parse %q = %+v, want %+v", tc.in, got, tc.want)
 		}
 		if (got.PostedPrice == nil) != (tc.want.PostedPrice == nil) ||
@@ -123,6 +124,8 @@ func TestParseMechanismSpec(t *testing.T) {
 		"double-auction:overbook=x",  // not a number
 		"no-such-mechanism:param=1",  // unknown name takes no params
 		"budgeted-ssam:epsilon=0.05", // parameter of another mechanism
+		"fixed-price:budget=5",       // parameter of another mechanism
+		"ssam:unit=5",                // parameter of another mechanism
 	} {
 		if _, err := ParseMechanismSpec(bad); err == nil {
 			t.Errorf("parse %q: want error, got none", bad)
@@ -136,6 +139,7 @@ func TestMechanismSpecStringRoundTrip(t *testing.T) {
 		{Name: NameBudgetedSSAM, Budget: 750},
 		{Name: NamePostedPrice, PostedPrice: &PostedPriceConfig{Epsilon: 0.05, PriceHi: 40}},
 		{Name: NameDoubleAuction, DoubleAuction: &DoubleAuctionConfig{Overbook: 1.5}},
+		{Name: NameFixedPrice, UnitPrice: 12.5},
 	}
 	for _, spec := range specs {
 		s := spec.String()
@@ -150,6 +154,24 @@ func TestMechanismSpecStringRoundTrip(t *testing.T) {
 	}
 	if s := (MechanismSpec{}).String(); s != NameSSAM {
 		t.Errorf("zero spec renders %q, want %q", s, NameSSAM)
+	}
+	if s := (MechanismSpec{Name: NameFixedPrice, UnitPrice: 12.5}).String(); s != "fixed-price:unit=12.5" {
+		t.Errorf("fixed-price spec renders %q", s)
+	}
+}
+
+func TestMechanismSpecListFlag(t *testing.T) {
+	var l MechanismSpecList
+	for _, v := range []string{"ssam", "fixed-price:unit=12.5"} {
+		if err := l.Set(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := l.String(); got != "ssam,fixed-price:unit=12.5" {
+		t.Fatalf("String() = %q", got)
+	}
+	if err := l.Set("no-such-mechanism"); err == nil || len(l) != 2 {
+		t.Fatalf("bad spec: err=%v, %d specs", err, len(l))
 	}
 }
 
@@ -518,5 +540,109 @@ func TestVerifyPenaltyBoundRejectsRiggedSettlements(t *testing.T) {
 	ok := Settlement{BookedValue: 100, FuturesPaid: 60, NoShowValue: 40, Penalties: 20}
 	if err := VerifyPenaltyBound(&ok, cfg); err != nil {
 		t.Errorf("clean settlement rejected: %v", err)
+	}
+}
+
+// --- fixed price ---
+
+// fixedPriceInstance has unit costs (price per useful unit) 10, 4, 10
+// and 12 for bids 0-3; total demand 3.
+func fixedPriceInstance() *Instance {
+	return &Instance{
+		Demand: []int{2, 1},
+		Bids: []Bid{
+			{Bidder: 1, Price: 10, TrueCost: 10, Covers: []int{0}, Units: 1},
+			{Bidder: 2, Price: 8, TrueCost: 8, Covers: []int{0, 1}, Units: 1},
+			{Bidder: 3, Price: 30, TrueCost: 30, Covers: []int{0, 1}, Units: 2},
+			{Bidder: 4, Price: 12, TrueCost: 12, Covers: []int{1}, Units: 1},
+		},
+	}
+}
+
+func clearFixedPrice(t *testing.T, ins *Instance, unit float64) (*Outcome, error) {
+	t.Helper()
+	return RunMechanism(MechanismSpec{Name: NameFixedPrice, UnitPrice: unit}, ins, Options{})
+}
+
+func TestFixedPriceHighPostedCovers(t *testing.T) {
+	ins := fixedPriceInstance()
+	out, err := clearFixedPrice(t, ins, 100)
+	if err != nil {
+		t.Fatalf("high posted price should cover: %v", err)
+	}
+	if c := out.CoverageFraction(ins); c != 1 {
+		t.Fatalf("coverage = %v, want 1", c)
+	}
+	if err := VerifyFeasible(ins, out); err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyIndividualRationality(ins, out, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestFixedPriceLowPostedUndercovers(t *testing.T) {
+	ins := fixedPriceInstance()
+	out, err := clearFixedPrice(t, ins, 1) // below everyone's unit cost
+	if !errors.Is(err, ErrInfeasible) {
+		t.Fatalf("want ErrInfeasible, got %v", err)
+	}
+	if out == nil || len(out.Winners) != 0 || out.CoverageFraction(ins) != 0 {
+		t.Fatalf("nobody should accept a price of 1: %+v", out)
+	}
+}
+
+func TestFixedPriceCheapestFirst(t *testing.T) {
+	// Posted 6/unit: only bid 1 (unit cost 8/2 = 4) accepts, covering 2
+	// of 3 units, so the partial outcome comes back with ErrInfeasible.
+	ins := fixedPriceInstance()
+	out, err := clearFixedPrice(t, ins, 6)
+	if !errors.Is(err, ErrInfeasible) {
+		t.Fatalf("want ErrInfeasible, got %v", err)
+	}
+	if len(out.Winners) != 1 || out.Winners[0] != 1 {
+		t.Fatalf("want only bid 1 (bidder 2) accepted, got %+v", out)
+	}
+	if c := out.CoverageFraction(ins); math.Abs(c-2.0/3.0) > 1e-9 {
+		t.Fatalf("coverage = %v, want 2/3", c)
+	}
+	if out.Payments[1] != 12 {
+		t.Fatalf("payment = %v, want 6/unit x 2 useful units", out.Payments[1])
+	}
+}
+
+func TestFixedPriceInvalidPrice(t *testing.T) {
+	for _, unit := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if _, err := NewMechanism(MechanismSpec{Name: NameFixedPrice, UnitPrice: unit}); err == nil {
+			t.Errorf("unit price %v must be rejected", unit)
+		}
+	}
+}
+
+// TestFixedPricePaysWholeBid is the regression test for winners paid
+// below their price: the seller yields its whole bid, so it is paid for
+// all its useful units, not only for the coverage it adds.
+func TestFixedPricePaysWholeBid(t *testing.T) {
+	ins := &Instance{
+		Demand: []int{2, 1},
+		Bids: []Bid{
+			// Unit cost 1.8/2 = 0.9: accepted first, covers needy 0.
+			{Bidder: 1, Price: 1.8, TrueCost: 1.8, Covers: []int{0}, Units: 2},
+			// Unit cost 2/2 = 1: adds only 1 unit (needy 1), yet yields 2.
+			{Bidder: 2, Price: 2, TrueCost: 2, Covers: []int{0, 1}, Units: 1},
+		},
+	}
+	out, err := clearFixedPrice(t, ins, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Winners) != 2 {
+		t.Fatalf("winners = %v, want both bids", out.Winners)
+	}
+	if err := VerifyIndividualRationality(ins, out, nil); err != nil {
+		t.Fatal(err)
+	}
+	if out.Payments[1] != 2 {
+		t.Fatalf("bid 1 paid %v, want 1/unit x 2 useful units", out.Payments[1])
 	}
 }

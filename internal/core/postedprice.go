@@ -1,5 +1,10 @@
 package core
 
+import (
+	"fmt"
+	"sort"
+)
+
 // This file implements a (1−ε)-optimal posted-price mechanism in the
 // spirit of Zhang et al. (arXiv 1611.07619): the platform posts a single
 // take-it-or-leave-it price π drawn from an (1+ε)-geometric grid over the
@@ -28,6 +33,9 @@ package core
 // higher level after observing rejections would make the level depend on
 // reports and reopen a pivotal-manipulation channel, so an uncovered
 // instance returns ErrInfeasible instead.
+//
+// The file also holds the fixed-price mechanism, the prior-free flat
+// pricing the paper argues against in §I.
 
 // PostedPriceConfig parameterizes the posted-price mechanism. The zero
 // value selects the defaults matching internal/workload's cost prior.
@@ -95,14 +103,7 @@ func (p *PostedPrice) PostedLevel(ins *Instance) float64 {
 	perBidder := make(map[int]float64, len(ins.Bids))
 	for i := range ins.Bids {
 		b := &ins.Bids[i]
-		var useful float64
-		for _, k := range b.Covers {
-			u := b.Units
-			if d := ins.Demand[k]; u > d {
-				u = d
-			}
-			useful += float64(u)
-		}
+		useful := float64(ins.UsefulUnits(b))
 		if useful > perBidder[b.Bidder] {
 			perBidder[b.Bidder] = useful
 		}
@@ -188,5 +189,84 @@ func (p *PostedPrice) Clear(ins *Instance, opts Options) (*Outcome, error) {
 		}
 	}
 	out.ScaledCost = out.SocialCost
+	return out, nil
+}
+
+// fixedPrice is the flat-pricing alternative the paper argues against in
+// §I: the platform posts one price per unit of useful coverage (unit),
+// every bid whose reported price per useful unit is at most unit
+// accepts, and the platform buys acceptances cheapest-first (one per
+// bidder, each adding coverage) until the demand is covered. Unlike
+// PostedPrice there is no prior: the unit price is set from outside, so
+// a low one shows the under-pricing failure mode (ErrInfeasible with the
+// partial outcome) and a high one shows over-pricing (inflated payments).
+type fixedPrice struct{ unit float64 }
+
+func (fixedPrice) Name() string { return NameFixedPrice }
+
+// Clear implements Mechanism. Each winner is paid unit × its useful
+// units: the seller yields its whole bid, so paying only for the coverage
+// it adds to the residual demand would pay it below its price. A bid
+// accepts only when Price/useful ≤ unit, so the payment covers its price.
+// Under-coverage returns the partial outcome together with a wrapped
+// ErrInfeasible.
+func (m fixedPrice) Clear(ins *Instance, _ Options) (*Outcome, error) {
+	if err := ins.Validate(); err != nil {
+		return nil, err
+	}
+	type acceptance struct {
+		idx, supply int
+		unitCost    float64
+	}
+	var accepts []acceptance
+	for i := range ins.Bids {
+		b := &ins.Bids[i]
+		supply := ins.UsefulUnits(b)
+		if supply == 0 {
+			continue
+		}
+		if unitCost := b.Price / float64(supply); unitCost <= m.unit {
+			accepts = append(accepts, acceptance{idx: i, supply: supply, unitCost: unitCost})
+		}
+	}
+	sort.Slice(accepts, func(a, b int) bool {
+		if accepts[a].unitCost != accepts[b].unitCost {
+			return accepts[a].unitCost < accepts[b].unitCost
+		}
+		return accepts[a].idx < accepts[b].idx
+	})
+
+	out := &Outcome{Payments: make(map[int]float64)}
+	residual := append([]int(nil), ins.Demand...)
+	covered, total := 0, ins.TotalDemand()
+	wonBidder := make(map[int]struct{})
+	for _, a := range accepts {
+		if covered >= total {
+			break
+		}
+		b := &ins.Bids[a.idx]
+		if _, dup := wonBidder[b.Bidder]; dup {
+			continue
+		}
+		gain := 0
+		for _, k := range b.Covers {
+			gain += min(b.Units, residual[k])
+		}
+		if gain == 0 {
+			continue
+		}
+		wonBidder[b.Bidder] = struct{}{}
+		for _, k := range b.Covers {
+			residual[k] -= min(b.Units, residual[k])
+		}
+		covered += gain
+		out.Winners = append(out.Winners, a.idx)
+		out.Payments[a.idx] = m.unit * float64(a.supply)
+		out.SocialCost += b.Price
+	}
+	out.ScaledCost = out.SocialCost
+	if covered < total {
+		return out, fmt.Errorf("%w (fixed price %v covered %d/%d units)", ErrInfeasible, m.unit, covered, total)
+	}
 	return out, nil
 }

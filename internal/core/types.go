@@ -84,6 +84,17 @@ func (ins *Instance) TotalDemand() int {
 	return total
 }
 
+// UsefulUnits returns the coverage bid b can supply toward the full
+// demand, Σ_{k∈Covers} min(Units, X_k). Its covers must index into
+// ins.Demand.
+func (ins *Instance) UsefulUnits(b *Bid) int {
+	units := 0
+	for _, k := range b.Covers {
+		units += min(b.Units, ins.Demand[k])
+	}
+	return units
+}
+
 // MaxPrice returns the maximum bid price, or 0 with no bids. It is used as
 // the default reserve for critical payments when a winner has no runner-up.
 func (ins *Instance) MaxPrice() float64 {
@@ -305,6 +316,28 @@ func (o *Outcome) TotalPayment() float64 {
 		total += o.Payments[w]
 	}
 	return total
+}
+
+// CoverageFraction returns the share of ins's total demand that the
+// winners procure, 1 for a fully covered round (and for rounds with zero
+// demand).
+func (o *Outcome) CoverageFraction(ins *Instance) float64 {
+	total := ins.TotalDemand()
+	if total == 0 {
+		return 1
+	}
+	theta := make([]int, len(ins.Demand))
+	for _, w := range o.Winners {
+		b := &ins.Bids[w]
+		for _, k := range b.Covers {
+			theta[k] += b.Units
+		}
+	}
+	covered := 0
+	for k, d := range ins.Demand {
+		covered += min(theta[k], d)
+	}
+	return float64(covered) / float64(total)
 }
 
 // Won reports whether bid index idx is a winner.

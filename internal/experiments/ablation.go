@@ -1,10 +1,10 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
-	"edgeauction/internal/baseline"
 	"edgeauction/internal/core"
 	"edgeauction/internal/metrics"
 	"edgeauction/internal/workload"
@@ -218,7 +218,7 @@ func AblationGreedyMetric(cfg Config) (*AblationResult, error) {
 		if err != nil {
 			return cell{}, fmt.Errorf("experiments: ablation greedy n=%d: %w", n, err)
 		}
-		outR, err := baseline.Random(ins, rng)
+		outR, err := randomSelection(ins, rng)
 		if err != nil {
 			return cell{}, fmt.Errorf("experiments: ablation greedy n=%d: %w", n, err)
 		}
@@ -277,12 +277,13 @@ func AblationFixedPrice(cfg Config) (*AblationResult, error) {
 		v := cell{auction: out.TotalPayment()}
 		posted := unitCostQuantiles(ins, n, quantiles)
 		for i := range labels {
-			res, err := baseline.FixedPrice(ins, posted[i])
-			if err != nil && res == nil {
+			spec := core.MechanismSpec{Name: core.NameFixedPrice, UnitPrice: posted[i]}
+			res, err := core.RunMechanism(spec, ins, core.Options{})
+			if err != nil && !errors.Is(err, core.ErrInfeasible) {
 				return cell{}, fmt.Errorf("experiments: ablation fixed-price n=%d posted=%v: %w", n, posted[i], err)
 			}
-			v.coverage[i] = res.CoveredFraction
-			v.payment[i] = res.Outcome.TotalPayment()
+			v.coverage[i] = res.CoverageFraction(ins)
+			v.payment[i] = res.TotalPayment()
 		}
 		return v, nil
 	})
@@ -332,15 +333,7 @@ func unitCostQuantiles(ins *core.Instance, marketBidders int, qs []float64) []fl
 		if workload.IsReserveBid(b, marketBidders) {
 			continue
 		}
-		capacity := 0
-		for _, k := range b.Covers {
-			u := b.Units
-			if u > ins.Demand[k] {
-				u = ins.Demand[k]
-			}
-			capacity += u
-		}
-		if capacity > 0 {
+		if capacity := ins.UsefulUnits(&b); capacity > 0 {
 			sample.Add(b.TrueCost / float64(capacity))
 		}
 	}
@@ -349,4 +342,44 @@ func unitCostQuantiles(ins *core.Instance, marketBidders int, qs []float64) []fl
 		out[i] = sample.Quantile(q)
 	}
 	return out
+}
+
+// randomSelection picks uniformly random useful bids (one per bidder)
+// until the demand is covered, paying first price: the no-intelligence
+// floor of the greedy-metric ablation. It draws from rng, so it is not a
+// registered Mechanism (the contract forbids hidden randomness).
+func randomSelection(ins *core.Instance, rng *workload.Rand) (*core.Outcome, error) {
+	out := &core.Outcome{Payments: map[int]float64{}}
+	residual := append([]int(nil), ins.Demand...)
+	covered, total := 0, ins.TotalDemand()
+	seen := map[int]bool{}
+	for _, i := range rng.Perm(len(ins.Bids)) {
+		if covered >= total {
+			break
+		}
+		b := &ins.Bids[i]
+		if seen[b.Bidder] {
+			continue
+		}
+		gain := 0
+		for _, k := range b.Covers {
+			gain += min(b.Units, residual[k])
+		}
+		if gain == 0 {
+			continue
+		}
+		seen[b.Bidder] = true
+		for _, k := range b.Covers {
+			residual[k] -= min(b.Units, residual[k])
+		}
+		covered += gain
+		out.Winners = append(out.Winners, i)
+		out.Payments[i] = b.Price
+		out.SocialCost += b.Price
+	}
+	out.ScaledCost = out.SocialCost
+	if covered < total {
+		return out, fmt.Errorf("%w: random selection covered %d/%d units", core.ErrInfeasible, covered, total)
+	}
+	return out, nil
 }

@@ -6,6 +6,7 @@ import (
 
 	"edgeauction/internal/core"
 	"edgeauction/internal/metrics"
+	"edgeauction/internal/workload"
 )
 
 func quickCfg() Config { return Config{Seed: 11, Quick: true} }
@@ -228,6 +229,44 @@ func TestAblationGreedyMetricOrdering(t *testing.T) {
 			t.Fatalf("point %d: per-coverage greedy (%v) clearly worse than random (%v)",
 				i, perCov.Y[i], random.Y[i])
 		}
+	}
+}
+
+func TestRandomCoversWhenPossible(t *testing.T) {
+	rng := workload.NewRand(1)
+	ins := workload.Instance(rng, workload.InstanceConfig{Bidders: 15})
+	out, err := randomSelection(ins, rng)
+	if err != nil {
+		t.Fatalf("random selection failed on reserve-backed instance: %v", err)
+	}
+	if err := core.VerifyFeasible(ins, out); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range out.Winners {
+		if out.Payments[w] != ins.Bids[w].Price {
+			t.Fatalf("random selection must pay first price")
+		}
+	}
+}
+
+func TestRandomAtLeastGreedyCostOnAverage(t *testing.T) {
+	rng := workload.NewRand(2)
+	var greedyTotal, randomTotal float64
+	for trial := 0; trial < 20; trial++ {
+		ins := workload.Instance(rng, workload.InstanceConfig{Bidders: 15})
+		g, err := core.SSAM(ins, core.Options{SkipCertificate: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := randomSelection(ins, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		greedyTotal += g.SocialCost
+		randomTotal += r.SocialCost
+	}
+	if randomTotal < greedyTotal {
+		t.Fatalf("random (%v) beat greedy (%v) on aggregate — implausible", randomTotal, greedyTotal)
 	}
 }
 

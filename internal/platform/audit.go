@@ -15,9 +15,11 @@ import (
 const AuditKind = "edgeauction-audit"
 
 // Audit records every round the platform clears as one JSON line, so
-// operators can replay disputes offline (the records embed the full
-// assembled instance in the cmd/wspsolve format). Writers are serialized;
-// any io.Writer works (file, pipe, network).
+// operators can replay disputes offline: each record embeds the full
+// assembled instance, which AuditRecord.Instance rebuilds (and
+// workload.WriteInstance can save as a cmd/wspsolve -in file; wspsolve
+// does not read audit records). Writers are serialized; any io.Writer
+// works (file, pipe, network).
 type Audit struct {
 	mu    sync.Mutex
 	w     io.Writer

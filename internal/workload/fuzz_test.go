@@ -6,40 +6,10 @@ import (
 	"testing"
 )
 
-// FuzzReadTrace hardens the trace parser: arbitrary input must either
-// parse into a structurally valid scenario or fail cleanly — never panic,
-// and never yield instances that the mechanisms would choke on.
-func FuzzReadTrace(f *testing.F) {
-	// Seed with a real trace and a few mutations.
-	scn := Online(NewRand(1), OnlineConfig{Rounds: 2, Stage: InstanceConfig{Bidders: 3}})
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, scn); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.String())
-	f.Add("")
-	f.Add("{}\n")
-	f.Add(`{"kind":"edgeauction-trace","version":1,"rounds":0}` + "\n")
-	f.Add(`{"kind":"edgeauction-trace","version":1,"rounds":1}` + "\n" +
-		`{"t":1,"demand":[2],"bids":[{"bidder":1,"alt":0,"price":5,"covers":[0],"units":1}]}` + "\n")
-
-	f.Fuzz(func(t *testing.T, data string) {
-		got, err := ReadTrace(strings.NewReader(data))
-		if err != nil {
-			return // clean rejection
-		}
-		for _, r := range got.TrueRounds {
-			if err := r.Instance.Validate(); err != nil {
-				t.Fatalf("parser accepted invalid instance: %v", err)
-			}
-		}
-		if len(got.EstimatedRounds) != len(got.TrueRounds) {
-			t.Fatal("estimated/true round count mismatch from parser")
-		}
-	})
-}
-
-// FuzzReadInstance hardens the single-instance parser the same way.
+// FuzzReadInstance hardens the single-instance parser behind wspsolve -in:
+// arbitrary input must either parse into a structurally valid instance or
+// fail cleanly — never panic, and never yield an instance the mechanisms
+// would choke on.
 func FuzzReadInstance(f *testing.F) {
 	ins := Instance(NewRand(2), InstanceConfig{Bidders: 4})
 	var buf bytes.Buffer

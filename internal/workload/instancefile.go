@@ -13,12 +13,24 @@ import (
 // document — the interchange format of cmd/wspsolve and a convenient way
 // to snapshot a disputed round for offline analysis.
 
+// instanceVersion identifies the on-disk format.
+const instanceVersion = 1
+
 // instanceDoc is the on-disk schema.
 type instanceDoc struct {
 	Kind    string      `json:"kind"` // always "edgeauction-instance"
 	Version int         `json:"version"`
 	Demand  []int       `json:"demand"`
 	Bids    []bidRecord `json:"bids"`
+}
+
+type bidRecord struct {
+	Bidder   int     `json:"bidder"`
+	Alt      int     `json:"alt"`
+	Price    float64 `json:"price"`
+	TrueCost float64 `json:"true_cost,omitempty"`
+	Covers   []int   `json:"covers"`
+	Units    int     `json:"units"`
 }
 
 // ErrBadInstance reports a malformed instance document.
@@ -28,7 +40,7 @@ var ErrBadInstance = errors.New("workload: malformed instance file")
 func WriteInstance(w io.Writer, ins *core.Instance) error {
 	doc := instanceDoc{
 		Kind:    "edgeauction-instance",
-		Version: traceVersion,
+		Version: instanceVersion,
 		Demand:  ins.Demand,
 	}
 	for _, b := range ins.Bids {
@@ -54,7 +66,7 @@ func ReadInstance(r io.Reader) (*core.Instance, error) {
 	if doc.Kind != "edgeauction-instance" {
 		return nil, fmt.Errorf("%w: unexpected kind %q", ErrBadInstance, doc.Kind)
 	}
-	if doc.Version != traceVersion {
+	if doc.Version != instanceVersion {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadInstance, doc.Version)
 	}
 	ins := &core.Instance{Demand: doc.Demand}

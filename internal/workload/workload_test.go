@@ -341,74 +341,6 @@ func TestOnlineScenarioDeterminism(t *testing.T) {
 	}
 }
 
-func TestTraceRoundTrip(t *testing.T) {
-	scn := Online(NewRand(11), OnlineConfig{
-		Rounds:          4,
-		Stage:           InstanceConfig{Bidders: 6},
-		WindowedArrival: true,
-	})
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, scn); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.TrueRounds) != 4 {
-		t.Fatalf("rounds = %d", len(back.TrueRounds))
-	}
-	for i := range scn.TrueRounds {
-		orig, got := scn.TrueRounds[i].Instance, back.TrueRounds[i].Instance
-		if len(orig.Bids) != len(got.Bids) {
-			t.Fatalf("round %d: bid count %d != %d", i, len(got.Bids), len(orig.Bids))
-		}
-		for j := range orig.Bids {
-			if orig.Bids[j].Price != got.Bids[j].Price ||
-				orig.Bids[j].Bidder != got.Bids[j].Bidder ||
-				orig.Bids[j].Units != got.Bids[j].Units {
-				t.Fatalf("round %d bid %d mismatch: %+v vs %+v", i, j, orig.Bids[j], got.Bids[j])
-			}
-		}
-		estOrig := scn.EstimatedRounds[i].Instance.Demand
-		estGot := back.EstimatedRounds[i].Instance.Demand
-		for k := range estOrig {
-			if estOrig[k] != estGot[k] {
-				t.Fatalf("round %d estimated demand mismatch", i)
-			}
-		}
-	}
-	if len(back.Capacity) != len(scn.Capacity) || len(back.Windows) != len(scn.Windows) {
-		t.Fatal("header round-trip lost capacity/windows")
-	}
-}
-
-func TestTraceRejectsGarbage(t *testing.T) {
-	cases := map[string]string{
-		"not json":    "hello\n",
-		"wrong kind":  `{"kind":"other","version":1,"rounds":0}` + "\n",
-		"bad version": `{"kind":"edgeauction-trace","version":99,"rounds":0}` + "\n",
-		"round count": `{"kind":"edgeauction-trace","version":1,"rounds":3}` + "\n",
-		"invalid bid": `{"kind":"edgeauction-trace","version":1,"rounds":1}` + "\n" +
-			`{"t":1,"demand":[1],"bids":[{"bidder":1,"alt":0,"price":5,"covers":[7],"units":1}]}` + "\n",
-	}
-	for name, data := range cases {
-		t.Run(name, func(t *testing.T) {
-			if _, err := ReadTrace(strings.NewReader(data)); err == nil {
-				t.Fatal("want parse error")
-			}
-		})
-	}
-}
-
-func TestTraceEstimatedDemandLengthMismatch(t *testing.T) {
-	data := `{"kind":"edgeauction-trace","version":1,"rounds":1}` + "\n" +
-		`{"t":1,"demand":[1],"estimated_demand":[1,2],"bids":[{"bidder":1,"alt":0,"price":5,"covers":[0],"units":1}]}` + "\n"
-	if _, err := ReadTrace(strings.NewReader(data)); err == nil {
-		t.Fatal("want length-mismatch error")
-	}
-}
-
 func TestInstanceFileRoundTrip(t *testing.T) {
 	ins := Instance(NewRand(13), InstanceConfig{Bidders: 8})
 	var buf bytes.Buffer
