@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check cover fuzz soak soak-quick soak-equivalence soak-workload bench bench-core bench-core-sweep bench-guard bench-load bench-scaling bench-repro repro arena
+.PHONY: all build test check cover fuzz soak soak-equivalence bench bench-core bench-core-sweep bench-guard bench-load bench-scaling bench-repro repro arena
 
 all: build
 
@@ -79,49 +79,35 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadInstance$$' -fuzztime $(FUZZTIME) \
 		./internal/workload
 
-# soak-quick is the chaos gate: the 250-round churn+fault scenario must
-# (a) produce a byte-identical audit log across two runs of the same seed
-# — the scenario engine and auditor are deterministic by construction —
-# and (b) report zero invariant violations; then a deliberately broken
-# payment rule must make the auditor object (non-zero exit).
-soak-quick:
-	$(GO) build -o /tmp/edgeauction-chaos ./cmd/chaos
-	/tmp/edgeauction-chaos -scenario churn -quiet -audit-out /tmp/edgeauction-soak-a.jsonl
-	/tmp/edgeauction-chaos -scenario churn -quiet -audit-out /tmp/edgeauction-soak-b.jsonl
-	cmp /tmp/edgeauction-soak-a.jsonl /tmp/edgeauction-soak-b.jsonl
-	@if /tmp/edgeauction-chaos -scenario churn -quiet -break-payments >/dev/null; then \
-		echo "auditor failed to catch the broken payment rule"; exit 1; \
-	else echo "broken payment rule caught as expected"; fi
-
-# soak-equivalence is the durable-record gate: for each builtin comparison
-# scenario, chaos.Equivalent clears the workload once as the serial,
-# crash-free baseline and once per variant, and exits non-zero unless
-# every variant is byte-identical to it (same WAL bytes, same ψ-state
-# hash, same OnlineSummary). The crash scenario's variant kills the
-# platform at every scripted crash point (mid-gather, pre-announce,
-# post-announce) and recovers from snapshot + WAL-suffix replay; the
-# pipeline scenario's variant settles round t while round t+1 gathers.
-# Both scenarios also run a traced pass and a payment-parallelism-4 pass:
-# observing and parallelising must not change outcomes.
+# soak-equivalence is the chaos gate. For each scenario, chaos.Equivalent
+# runs the audited baseline — serial and crash-free, with the shadow
+# auditor machine-checking every round — then each of the scenario's
+# variants, and exits non-zero unless the baseline is violation-free and
+# every variant is byte-identical to it (same WAL bytes, same audit log
+# where audited, same ψ-state hash, same OnlineSummary). An audited
+# scenario's variant is a second audited run: churn is 250 rounds of
+# randomized agent churn and faults; overload drives the platform with
+# demand precomputed from the cascading-overload service graph at 3x
+# work. The crash scenario's variant kills the platform at every scripted
+# crash point (mid-gather, pre-announce, post-announce) and recovers from
+# snapshot + WAL-suffix replay; the pipeline scenario's settles round t
+# while round t+1 gathers; both also run an untraced pass and a
+# payment-parallelism-4 pass: observing and parallelising must not change
+# outcomes. Last, a deliberately broken payment rule must make the
+# auditor object with exit status 2.
 soak-equivalence:
 	$(GO) build -o /tmp/edgeauction-chaos ./cmd/chaos
+	/tmp/edgeauction-chaos -scenario churn -quiet
+	/tmp/edgeauction-chaos -scenario overload -quiet
 	/tmp/edgeauction-chaos -scenario crash -quiet
 	/tmp/edgeauction-chaos -scenario pipeline -quiet
+	@/tmp/edgeauction-chaos -scenario churn -quiet -break-payments >/dev/null; code=$$?; \
+	if [ $$code -ne 2 ]; then echo "auditor failed to catch the broken payment rule (exit $$code, want 2)"; exit 1; \
+	else echo "broken payment rule caught as expected"; fi
 
-# soak-workload is the topology-driven demand gate: the builtin overload
-# scenario drives the platform with demand precomputed from the
-# cascading-overload service graph simulated at 3x work (not i.i.d.
-# draws), under light churn, with the shadow auditor replaying every
-# round. Two runs of the same seed must be audit-clean and byte-identical
-# — the demand schedule is a pure function of the scenario seed.
-soak-workload:
-	$(GO) build -o /tmp/edgeauction-chaos ./cmd/chaos
-	/tmp/edgeauction-chaos -scenario overload -quiet -audit-out /tmp/edgeauction-soak-wl-a.jsonl
-	/tmp/edgeauction-chaos -scenario overload -quiet -audit-out /tmp/edgeauction-soak-wl-b.jsonl
-	cmp /tmp/edgeauction-soak-wl-a.jsonl /tmp/edgeauction-soak-wl-b.jsonl
-
-# soak runs every builtin chaos scenario, including a long churn run.
-soak: soak-quick soak-equivalence soak-workload
+# soak runs every builtin chaos scenario through the same gate, including
+# a long churn run.
+soak: soak-equivalence
 	/tmp/edgeauction-chaos -scenario churn -rounds 1000 -quiet
 	/tmp/edgeauction-chaos -scenario faults -quiet
 	/tmp/edgeauction-chaos -scenario capacity -quiet

@@ -121,45 +121,49 @@ func TestComparisonReusedDir(t *testing.T) {
 	}
 }
 
-// TestPipelineComparisonExitsZero dispatches the pipeline scenario through
-// the same comparison branch and prints one line per variant.
+// TestPipelineComparisonExitsZero runs the pipeline scenario's variants
+// and prints one line per variant.
 func TestPipelineComparisonExitsZero(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if code := run([]string{"-scenario", "pipeline", "-rounds", "15", "-quiet"}, &out, &errOut); code != 0 {
 		t.Fatalf("exit %d: %s%s", code, out.String(), errOut.String())
 	}
-	for _, v := range []string{"pipelined", "traced", "parallel-payments"} {
+	for _, v := range []string{"pipelined", "untraced", "parallel-payments"} {
 		if !strings.Contains(out.String(), "variant "+v+": ") {
 			t.Errorf("output missing variant %s:\n%s", v, out.String())
 		}
 	}
 }
 
-// TestComparisonRejectsAuditorFlags: the auditor's flags mean nothing to a
-// comparison scenario, so setting one is an error naming it rather than a
-// silently ignored request.
-func TestComparisonRejectsAuditorFlags(t *testing.T) {
-	audit := filepath.Join(t.TempDir(), "audit.jsonl")
-	for _, tc := range []struct {
-		scenario string
-		flags    []string
-	}{
-		{"crash", []string{"-break-payments"}},
-		{"crash", []string{"-max-violations", "3"}},
-		{"crash", []string{"-dump-dir", t.TempDir()}},
-		{"pipeline", []string{"-audit-out", audit}},
-		{"pipeline", []string{"-trace-out", audit}},
-	} {
-		var out, errOut bytes.Buffer
-		args := append([]string{"-scenario", tc.scenario, "-quiet"}, tc.flags...)
-		if code := run(args, &out, &errOut); code != 1 {
-			t.Errorf("%v: exit %d, want 1", args, code)
-		}
-		if !strings.Contains(errOut.String(), tc.flags[0]) {
-			t.Errorf("%v: error %q does not name %s", args, errOut.String(), tc.flags[0])
-		}
+// TestComparisonAuditsBaseline: on a comparison scenario the auditor's
+// flags act on the baseline pass, exactly as on an audited scenario — the
+// audit and trace logs are written, and a broken payment rule exits 2
+// before any variant runs.
+func TestComparisonAuditsBaseline(t *testing.T) {
+	dir := t.TempDir()
+	audit, trace := filepath.Join(dir, "audit.jsonl"), filepath.Join(dir, "trace.jsonl")
+	var out, errOut bytes.Buffer
+	args := []string{"-scenario", "pipeline", "-rounds", "15", "-quiet", "-audit-out", audit, "-trace-out", trace}
+	if code := run(args, &out, &errOut); code != 0 {
+		t.Fatalf("%v: exit %d: %s%s", args, code, out.String(), errOut.String())
 	}
-	if _, err := os.Stat(audit); err == nil {
-		t.Errorf("rejected run wrote %s", audit)
+	if data, err := os.ReadFile(audit); err != nil || bytes.Count(data, []byte("\n")) != 15 {
+		t.Errorf("audit log: %d lines (err %v), want 15", bytes.Count(data, []byte("\n")), err)
+	}
+	if info, err := os.Stat(trace); err != nil || info.Size() == 0 {
+		t.Errorf("trace log empty or missing (err %v)", err)
+	}
+
+	out.Reset()
+	dumps := filepath.Join(dir, "dumps")
+	args = []string{"-scenario", "crash", "-quiet", "-break-payments", "-dump-dir", dumps}
+	if code := run(args, &out, &errOut); code != 2 {
+		t.Fatalf("%v: exit %d, want 2: %s%s", args, code, out.String(), errOut.String())
+	}
+	if !strings.Contains(out.String(), "VIOLATION") || strings.Contains(out.String(), "variant ") {
+		t.Errorf("want violations reported and no variant run:\n%s", out.String())
+	}
+	if found, _ := filepath.Glob(filepath.Join(dumps, "*.json")); len(found) == 0 {
+		t.Error("no evidence dump written")
 	}
 }

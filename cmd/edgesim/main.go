@@ -16,11 +16,9 @@
 //	edgesim -workload overload -rounds 20 -reqtrace-out arrivals.jsonl
 //	edgesim -workload overload -rounds 20 -reqtrace-in arrivals.jsonl
 //
-// With -load N it instead runs the platform load benchmark: N agents
-// multiplexed over few TCP sessions drive an in-process auctioneer and
-// the tool reports rounds/sec and p99 bid round-trip latency:
-//
-//	edgesim -load 10000 -load-rounds 20 -load-pipeline
+// The platform load benchmark is not driven from here: `make bench-load`
+// runs the multiplexed agent fleet (internal/loadgen) against a real
+// auctioneer.
 package main
 
 import (
@@ -29,7 +27,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"time"
 
 	"edgeauction/internal/core"
 	"edgeauction/internal/obs"
@@ -64,12 +61,6 @@ func run(args []string) error {
 	reqTraceIn := fs.String("reqtrace-in", "", "JSONL request trace to replay as external arrivals (graph mode)")
 	reqTraceOut := fs.String("reqtrace-out", "", "write the realized external arrivals as a JSONL request trace (graph mode)")
 	traceOut := fs.String("trace-out", "", "append a JSONL observability event per auction step to this file")
-	loadAgents := fs.Int("load", 0, "run the platform load benchmark with this many multiplexed agents instead of the simulator (0 = off)")
-	loadRounds := fs.Int("load-rounds", 20, "measured rounds for -load")
-	loadPipeline := fs.Bool("load-pipeline", false, "use the pipelined round engine (overlap gather with settle) for -load")
-	loadThink := fs.Duration("load-think", 2*time.Millisecond, "simulated per-session bid decision latency for -load")
-	loadPerConn := fs.Int("load-conns", 0, "agents multiplexed per TCP session for -load (0 = default)")
-	loadJSON := fs.Bool("load-json", false, "emit the -load result as JSON")
 	mechanism := fs.String("mechanism", "", "mechanism spec, e.g. 'posted-price:epsilon=0.1' or 'double-auction:overbook=1.25' (empty = ssam)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -81,12 +72,6 @@ func run(args []string) error {
 			return err
 		}
 		mechSpec = spec
-	}
-	if *loadAgents > 0 {
-		return runLoad(loadFlags{
-			agents: *loadAgents, rounds: *loadRounds, pipeline: *loadPipeline,
-			think: *loadThink, perConn: *loadPerConn, jsonOut: *loadJSON,
-		})
 	}
 
 	if *workloadName == "list" {

@@ -356,10 +356,11 @@ const (
 	CrashPreAnnounce  = platform.CrashPreAnnounce
 	CrashPostAnnounce = platform.CrashPostAnnounce
 
-	// Typed backpressure causes carried by RejectMsg.Code.
+	// Typed reject causes carried by RejectMsg.Code.
 	RejectRateLimited = platform.RejectRateLimited
 	RejectQueueFull   = platform.RejectQueueFull
 	RejectCircuitOpen = platform.RejectCircuitOpen
+	RejectInvalidBid  = platform.RejectInvalidBid
 )
 
 // Observability types (see internal/obs). A Tracer receives typed events

@@ -521,7 +521,7 @@ func filterExcluded(ins *core.Instance, scaled []float64, excluded []int) (*core
 	return f, fScaled, toFiltered
 }
 
-func sortedKeys(m map[int]int) []int {
+func sortedKeys[V any](m map[int]V) []int {
 	out := make([]int, 0, len(m))
 	for k := range m {
 		out = append(out, k)

@@ -36,7 +36,7 @@ var builtins = map[string]func() *Scenario{
 	"overload":   overloadScenario,
 }
 
-// churnScenario is the soak gate: 250 rounds of light randomized churn
+// churnScenario is the main soak scenario: 250 rounds of light randomized churn
 // over eight capacity-limited agents, periodic demand spikes, and a few
 // scripted kills — enough traffic to exercise every fault path while the
 // overwhelming majority of rounds still clear.
@@ -135,13 +135,14 @@ func pipelineScenario() *Scenario {
 		WithPipelined()
 }
 
-// overloadScenario is the workload-driven soak gate (soak-workload):
+// overloadScenario is the workload-driven soak scenario:
 // demand is NOT drawn i.i.d. — it is the precomputed schedule of the
 // cascading-overload service graph simulated at 3× work, bridged through
 // the §III demand estimator. The hot fan-in service saturates, so the
 // platform clears sustained topology-shaped demand under light churn
-// while the auditor shadow-replays every round. Byte-identical across
-// runs like every scenario: the schedule is a pure function of the seed.
+// while the auditor shadow-replays every round. Its rerun is
+// byte-identical like every scenario's: the schedule is a pure function
+// of the seed.
 func overloadScenario() *Scenario {
 	return New("overload").
 		WithSeed(23).

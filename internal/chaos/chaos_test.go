@@ -24,53 +24,73 @@ func quickScenario() *Scenario {
 		On(20, 4, ActCrash)
 }
 
-// TestRunDeterministic runs the same scenario twice and requires
-// byte-identical audit logs, zero violations, and evidence that the fault
-// paths actually fired.
-func TestRunDeterministic(t *testing.T) {
-	var logs [2]bytes.Buffer
-	var results [2]*Result
-	for i := range logs {
-		res, err := Run(Config{Scenario: quickScenario(), AuditLog: &logs[i]})
-		if err != nil {
-			t.Fatalf("run %d: %v", i, err)
-		}
-		results[i] = res
+// baseline runs sc's audited baseline pass alone, in a fresh working dir.
+func baseline(t *testing.T, sc *Scenario, env Env) *Verdict {
+	t.Helper()
+	env.Dir = t.TempDir()
+	res, err := Equivalent(sc, env)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, res := range results {
-		if len(res.Violations) != 0 {
-			t.Fatalf("run %d: unexpected violations: %v", i, res.Violations)
+	return &res.Baseline
+}
+
+// assertVariantsMatch runs sc with the given variants and requires a clean
+// baseline and every variant to match it: same WAL bytes, same audit log
+// where the auditor watched, same final ψ/χ state hash, same summary.
+func assertVariantsMatch(t *testing.T, sc *Scenario, env Env, variants ...Variant) *EquivalenceResult {
+	t.Helper()
+	env.Dir = t.TempDir()
+	res, err := Equivalent(sc, env, variants...)
+	if err != nil {
+		t.Fatalf("Equivalent: %v", err)
+	}
+	base := res.Baseline
+	if !base.Audited || len(base.Violations) != 0 || base.Summary == nil {
+		t.Fatalf("baseline audited=%v, violations %v, summary %v", base.Audited, base.Violations, base.Summary)
+	}
+	for _, v := range res.Variants {
+		if !v.WALMatch {
+			t.Errorf("%s: WAL differs from the baseline's", v.Name)
 		}
-		if res.Rounds != 30 {
-			t.Fatalf("run %d audited %d rounds, want 30", i, res.Rounds)
+		if !v.AuditMatch {
+			t.Errorf("%s: audit log differs from the baseline's", v.Name)
 		}
-		if res.Checks == 0 {
-			t.Fatalf("run %d performed no checks", i)
+		if v.Hash != base.Hash {
+			t.Errorf("%s: state hash %s, baseline %s", v.Name, v.Hash, base.Hash)
+		}
+		if v.Summary == nil || *v.Summary != *base.Summary {
+			t.Errorf("%s: summary %+v, baseline %+v", v.Name, v.Summary, *base.Summary)
+		}
+		if !v.Match {
+			t.Errorf("%s: Match=false: %+v", v.Name, v)
+		}
+	}
+	if !res.Match {
+		t.Errorf("overall Match=false")
+	}
+	return res
+}
+
+// TestRunDeterministic runs the scenario with its rerun variant and
+// requires a byte-identical audit log and WAL, zero violations, and
+// evidence that the fault paths actually fired in both passes.
+func TestRunDeterministic(t *testing.T) {
+	sc := quickScenario()
+	res := assertVariantsMatch(t, sc, Env{}, ScenarioVariants(sc, 0)...)
+	if len(res.Variants) != 1 || res.Variants[0].Name != "rerun" || !res.Variants[0].Audited {
+		t.Fatalf("variants %+v, want one audited rerun", res.Variants)
+	}
+	for _, v := range []Verdict{res.Baseline, res.Variants[0]} {
+		if v.Rounds != 30 || v.Checks == 0 {
+			t.Fatalf("%s audited %d rounds with %d checks, want 30 rounds", v.Name, v.Rounds, v.Checks)
 		}
 		for _, act := range []string{ActBid, ActCrash, ActDelay, ActSlow, ActAbstain} {
-			if res.Actions[act] == 0 {
-				t.Errorf("run %d never exercised %q (actions %v)", i, act, res.Actions)
+			if v.Actions[act] == 0 {
+				t.Errorf("%s never exercised %q (actions %v)", v.Name, act, v.Actions)
 			}
 		}
 	}
-	if logs[0].Len() == 0 {
-		t.Fatal("empty audit log")
-	}
-	if !bytes.Equal(logs[0].Bytes(), logs[1].Bytes()) {
-		t.Fatalf("audit logs differ between identical runs:\n--- run 0 ---\n%s\n--- run 1 ---\n%s",
-			firstDiff(logs[0].String(), logs[1].String()), "")
-	}
-}
-
-// firstDiff returns the first differing line pair for the failure message.
-func firstDiff(a, b string) string {
-	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
-	for i := 0; i < len(al) && i < len(bl); i++ {
-		if al[i] != bl[i] {
-			return "line " + al[i] + "\n  vs " + bl[i]
-		}
-	}
-	return "length mismatch"
 }
 
 // TestBrokenPaymentsCaught enables the deliberately corrupt payment rule
@@ -86,10 +106,14 @@ func TestBrokenPaymentsCaught(t *testing.T) {
 		WithDeadline(25).
 		WithAgents(5, 0).
 		WithDemand(DemandSpec{NeedyLo: 2, NeedyHi: 2, DemandLo: 1, DemandHi: 1})
-	res, err := Run(Config{Scenario: sc, BreakPayments: true, DumpDir: dir})
+	full, err := Equivalent(sc, Env{Dir: t.TempDir(), BreakPayments: true, DumpDir: dir}, ScenarioVariants(sc, 0)...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if full.Match || len(full.Variants) != 0 {
+		t.Fatalf("violated baseline: Match=%v with %d variants run, want false and none", full.Match, len(full.Variants))
+	}
+	res := full.Baseline
 	if len(res.Violations) == 0 {
 		t.Fatal("corrupt payments went unnoticed")
 	}
@@ -128,10 +152,7 @@ func TestCapacityScenario(t *testing.T) {
 	sc.Rounds = 40
 	sc.BidDeadlineMS = 25
 	var log bytes.Buffer
-	res, err := Run(Config{Scenario: sc, AuditLog: &log})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := baseline(t, sc, Env{AuditLog: &log})
 	if len(res.Violations) != 0 {
 		t.Fatalf("violations: %v", res.Violations)
 	}
@@ -152,43 +173,14 @@ func TestFederationScenario(t *testing.T) {
 	sc.Rounds = 20
 	sc.Federation.Every = 5
 	sc.BidDeadlineMS = 25
-	var logA, logB bytes.Buffer
-	resA, err := Run(Config{Scenario: cloneScenario(t, sc), AuditLog: &logA})
-	if err != nil {
-		t.Fatal(err)
+	var log bytes.Buffer
+	res := assertVariantsMatch(t, sc, Env{AuditLog: &log}, ScenarioVariants(sc, 0)...)
+	if res.Baseline.FedRounds != 4 || res.Variants[0].FedRounds != 4 {
+		t.Fatalf("fed rounds = %d/%d, want 4", res.Baseline.FedRounds, res.Variants[0].FedRounds)
 	}
-	resB, err := Run(Config{Scenario: cloneScenario(t, sc), AuditLog: &logB})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resA.Violations) != 0 {
-		t.Fatalf("violations: %v", resA.Violations)
-	}
-	if resA.FedRounds != 4 {
-		t.Fatalf("fed rounds = %d, want 4", resA.FedRounds)
-	}
-	if !strings.Contains(logA.String(), `"kind":"federation"`) {
+	if !strings.Contains(log.String(), `"kind":"federation"`) {
 		t.Error("audit log has no federation lines")
 	}
-	if !bytes.Equal(logA.Bytes(), logB.Bytes()) {
-		t.Error("federated audit logs differ between identical runs")
-	}
-	_ = resB
-}
-
-// cloneScenario round-trips through JSON so repeated runs cannot share
-// mutable state through the scenario value.
-func cloneScenario(t *testing.T, sc *Scenario) *Scenario {
-	t.Helper()
-	data, err := sc.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Load(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
 }
 
 // TestScenarioValidation exercises the scenario schema guards.

@@ -1,10 +1,16 @@
 package chaos
 
 import (
+	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"log"
 	"math"
+	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -16,57 +22,6 @@ import (
 	"edgeauction/internal/workload"
 )
 
-// Config parameterizes one chaos run.
-type Config struct {
-	// Scenario declares the run; it is validated before anything starts.
-	Scenario *Scenario
-	// AuditLog receives the auditor's deterministic per-round JSONL; nil
-	// discards it. Two runs of the same scenario produce byte-identical
-	// streams here.
-	AuditLog io.Writer
-	// TraceLog receives the raw timestamped obs event stream; nil
-	// disables it. Unlike the audit log it is NOT deterministic.
-	TraceLog io.Writer
-	// DumpDir, when set, receives one JSON evidence file per violated
-	// round for one-command repro.
-	DumpDir string
-	// BreakPayments enables the deliberately broken payment rule (a 10%
-	// platform skim on every award) that the auditor must catch within
-	// one round. It exists to prove the auditor is live.
-	BreakPayments bool
-	// MaxViolations stops the run after this many violations; 0 means 1.
-	// Use a negative value to keep running through all violations.
-	MaxViolations int
-	// Logger receives operational progress; nil discards it.
-	Logger *log.Logger
-}
-
-// Result summarizes a chaos run.
-type Result struct {
-	// Scenario and Seed identify the run for repro.
-	Scenario string
-	Seed     int64
-	// Rounds is the number of platform rounds audited; Infeasible counts
-	// those whose demand could not be covered.
-	Rounds     int
-	Infeasible int
-	// FedRounds counts the interleaved federated rounds.
-	FedRounds int
-	// Checks is the total number of invariant checks performed.
-	Checks int
-	// Violations holds every invariant violation found (empty on a clean
-	// run).
-	Violations []Violation
-	// Dumps lists evidence files written for violated rounds.
-	Dumps []string
-	// Actions counts executed agent actions by kind (bid, crash, delay,
-	// slow, abstain), so tests can assert a scenario exercised the fault
-	// paths it was written for.
-	Actions map[string]int
-	// Summary is the platform mechanism's aggregate outcome.
-	Summary *core.OnlineSummary
-}
-
 // instruction tells an agent's bid policy what to do for one round.
 type instruction struct {
 	t      int
@@ -76,13 +31,21 @@ type instruction struct {
 	stale  []platform.WireBid
 }
 
-// engine drives one scenario against a real platform.Server.
+// engine is one pass: it drives the scenario's agents against a real
+// platform.Server, logging every round to a WAL, across every platform
+// restart the variant scripts. On a serial pass the auditor watches.
 type engine struct {
-	cfg Config
+	Verdict
 	sc  *Scenario
+	env Env
+	v   Variant
 	srv *platform.Server
-	aud *auditor
+	aud *auditor // nil on pipelined and crash passes
 	log *log.Logger
+
+	walPath, snapDir string
+	wal              []byte       // the finished pass's WAL
+	audit            bytes.Buffer // the auditor's JSONL
 
 	specs map[int]AgentSpec
 
@@ -94,39 +57,23 @@ type engine struct {
 	awayUntil    map[int]int
 	left         map[int]bool
 
-	actions map[string]int
-
-	fed    *federation.Federation
-	fedRes int
+	fed *federation.Federation
 }
 
-// Run executes one scenario to completion (or to the violation budget)
-// and returns the audited result. The run is deterministic: every random
-// draw derives from Scenario.Seed via workload.DeriveSeed sub-streams, so
-// the audit log is byte-identical across runs of the same scenario.
-func Run(cfg Config) (*Result, error) {
-	sc := cfg.Scenario
-	if sc == nil {
-		return nil, fmt.Errorf("chaos: no scenario")
-	}
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	logger := cfg.Logger
-	if logger == nil {
-		logger = log.New(io.Discard, "", 0)
-	}
-	maxViol := cfg.MaxViolations
-	if maxViol == 0 {
-		maxViol = 1
-	}
-	aud := newAuditor(sc, cfg.AuditLog, cfg.DumpDir, maxViol, logger)
-
+// runEngine runs the scenario once under v from an empty WAL and snapshot
+// directory, restarting through platform.Recover after every scripted
+// crash, with env's auditor settings. Every random draw derives from
+// Scenario.Seed via workload.DeriveSeed sub-streams, so the WAL and the
+// audit log are pure functions of the scenario.
+func runEngine(sc *Scenario, env Env, v Variant) (*engine, error) {
 	e := &engine{
-		cfg:          cfg,
+		Verdict:      Verdict{Name: v.Name, Actions: map[string]int{}},
 		sc:           sc,
-		aud:          aud,
-		log:          logger,
+		env:          env,
+		v:            v,
+		log:          env.Logger,
+		walPath:      filepath.Join(env.Dir, v.Name+".wal"),
+		snapDir:      filepath.Join(env.Dir, v.Name+".snapshots"),
 		specs:        map[int]AgentSpec{},
 		agents:       map[int]*platform.Agent{},
 		inst:         map[int]instruction{},
@@ -134,74 +81,208 @@ func Run(cfg Config) (*Result, error) {
 		pendingStale: map[int]instruction{},
 		awayUntil:    map[int]int{},
 		left:         map[int]bool{},
-		actions:      map[string]int{},
 	}
 	for _, a := range sc.Agents {
 		e.specs[a.ID] = a
 	}
-
-	var tracer obs.Tracer = obs.NewRoundSink(aud.storeBatch)
-	if cfg.TraceLog != nil {
-		tracer = obs.NewMulti(tracer, obs.NewJSONL(cfg.TraceLog))
+	// CreateWAL appends and Recover loads the newest snapshot it finds, so
+	// leftovers from an earlier run in this dir would leak into this one.
+	if err := os.Remove(e.walPath); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, err
 	}
-	srvCfg := platform.ServerConfig{
+	if err := os.RemoveAll(e.snapDir); err != nil {
+		return nil, err
+	}
+
+	cfg := platform.ServerConfig{
 		BidDeadline:  time.Duration(sc.BidDeadlineMS) * time.Millisecond,
 		WriteTimeout: 250 * time.Millisecond,
 		Auction:      core.MSOAConfig{Mechanism: sc.MechanismSpec(), Options: core.Options{Parallelism: 1}},
-		Tracer:       tracer,
-		Audit:        platform.NewAuditSink(aud.auditRound),
-		Fault: platform.FaultInjection{
-			SendFault: e.sendFault,
-		},
+		Fault:        platform.FaultInjection{SendFault: e.sendFault},
 	}
-	if cfg.BreakPayments {
-		srvCfg.Fault.CorruptPayment = func(t int, award platform.WireAward) float64 {
+	var sink *platform.Audit
+	if v.Loop == LoopSerial {
+		auditLog := io.Writer(&e.audit)
+		if env.AuditLog != nil {
+			auditLog = io.MultiWriter(&e.audit, env.AuditLog)
+		}
+		maxViol := env.MaxViolations
+		if maxViol == 0 {
+			maxViol = 1
+		}
+		e.aud = newAuditor(sc, auditLog, env.DumpDir, maxViol, e.log)
+		sink = platform.NewAuditSink(e.aud.auditRound)
+		cfg.Audit = sink
+		cfg.Tracer = obs.NewRoundSink(e.aud.storeBatch)
+		if env.TraceLog != nil {
+			cfg.Tracer = obs.NewMulti(cfg.Tracer, obs.NewJSONL(env.TraceLog))
+		}
+	}
+	if env.BreakPayments {
+		cfg.Fault.CorruptPayment = func(t int, award platform.WireAward) float64 {
 			return award.Payment * 0.9 // the platform skims 10% off every award
 		}
 	}
-	srv, err := platform.NewServer("127.0.0.1:0", srvCfg)
-	if err != nil {
-		return nil, err
+	if v.Configure != nil {
+		v.Configure(&cfg)
 	}
-	e.srv = srv
-	defer func() {
-		_ = srv.Close()
-		e.closeAgents()
-	}()
+	if cfg.Audit != sink {
+		e.aud = nil
+	}
+	if err := e.run(cfg); err != nil {
+		return nil, fmt.Errorf("chaos: %s pass: %w", v.Name, err)
+	}
+	if e.aud != nil {
+		a := e.aud
+		e.Audited = true
+		e.Rounds, e.Infeasible, e.Checks = a.rounds, a.infeasible, a.checks
+		e.Violations, e.Dumps = a.violations, a.dumps
+	}
+	return e, nil
+}
 
-	for t := 1; t <= sc.Rounds; t++ {
-		if err := e.preRound(t); err != nil {
-			return nil, err
+// run clears the pass's rounds, one platform process at a time: each
+// scripted crash (LoopCrash only; each fires once, as a real process
+// death is a one-off) ends a process, and the next one resumes from
+// platform.Recover with the agents that were connected redialled.
+func (e *engine) run(cfg platform.ServerConfig) error {
+	sc := e.sc
+	scripted := map[CrashSpec]bool{}
+	if e.v.Loop == LoopCrash {
+		for _, c := range sc.PlatformCrashes {
+			scripted[c] = true
 		}
-		demand := e.prepare(t)
-		if _, err := srv.RunRound(demand, nil); err != nil {
-			return nil, fmt.Errorf("chaos: round %d: %w", t, err)
+		cfg.Fault.Crash = func(t int, point string) error {
+			k := CrashSpec{Round: t, Point: point}
+			if scripted[k] {
+				delete(scripted, k)
+				return platform.ErrCrashed
+			}
+			return nil
+		}
+	}
+	first := 1
+	var redial []int
+	for {
+		wal, err := platform.CreateWAL(e.walPath, e.env.Fsync)
+		if err != nil {
+			return err
+		}
+		cfg.WAL = wal
+		e.log.Printf("chaos: %s pass: rounds %d-%d over %d agents", e.v.Name, first, sc.Rounds, len(sc.Agents))
+		crashed, err := e.process(cfg, first, redial)
+		redial = e.liveIDs()
+		e.closeAgents()
+		if e.srv != nil {
+			_ = e.srv.Close()
+		}
+		if cerr := wal.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return err
+		}
+		if !crashed {
+			break
+		}
+		// The process is "dead": everything in memory is gone. Rebuild
+		// from the durable artifacts alone.
+		rec, err := platform.Recover(e.walPath, e.snapDir, cfg.Auction)
+		if err != nil {
+			return err
+		}
+		e.Recoveries++
+		e.Replayed += rec.Replayed
+		e.log.Printf("chaos: recovered: snapshot round %d, %d records replayed, resuming at round %d (state %s)",
+			rec.SnapshotRound, rec.Replayed, rec.NextRound, rec.Hash[:12])
+		if first = rec.NextRound; first > sc.Rounds {
+			// The crash hit the final round after its WAL append; the
+			// recovered state IS the pass result.
+			e.Hash = rec.Hash
+			sum := rec.State.Summary
+			e.Summary = &sum
+			break
+		}
+		cfg.Resume = rec
+	}
+	wal, err := os.ReadFile(e.walPath)
+	e.wal = wal
+	return err
+}
+
+// process starts one platform process, reconnects the redial agents, and
+// clears rounds from first to the last (or to the violation budget). It
+// records the final state when the rounds run out and reports whether a
+// scripted crash ended it early. The caller tears the process down.
+func (e *engine) process(cfg platform.ServerConfig, first int, redial []int) (crashed bool, err error) {
+	sc := e.sc
+	if e.srv, err = platform.NewServer("127.0.0.1:0", cfg); err != nil {
+		return false, err
+	}
+	for _, id := range redial {
+		if err := e.dial(id); err != nil {
+			return false, err
+		}
+	}
+	if e.v.Loop == LoopPipelined {
+		// Pipelined scenarios hold a fixed population (Validate), so the
+		// whole roster joins before the first announce.
+		if err := e.preRound(first); err != nil {
+			return false, err
+		}
+		err := e.srv.RunPipelined(context.Background(), sc.Rounds-first+1,
+			func(t int) ([]int, []int) { return e.prepare(t), nil }, nil)
+		if err != nil {
+			return false, err
+		}
+	} else if crashed, err := e.serialRounds(first); crashed || err != nil {
+		return crashed, err
+	}
+	_, st := e.srv.SnapshotState()
+	if st == nil {
+		st = &core.MSOAState{}
+	}
+	e.Hash = st.Hash()
+	e.Summary = e.srv.Summary()
+	return false, nil
+}
+
+// serialRounds clears rounds first..last one RunRound at a time, with the
+// churn, snapshot and federation steps between them, and stops early at
+// a scripted crash or the auditor's violation budget.
+func (e *engine) serialRounds(first int) (crashed bool, err error) {
+	sc := e.sc
+	for t := first; t <= sc.Rounds; t++ {
+		if err := e.preRound(t); err != nil {
+			return false, err
+		}
+		if _, err := e.srv.RunRound(e.prepare(t), nil); err != nil {
+			if errors.Is(err, platform.ErrCrashed) {
+				e.log.Printf("chaos: %v", err)
+				e.Crashes++
+				return true, nil
+			}
+			return false, fmt.Errorf("round %d: %w", t, err)
 		}
 		e.postRound(t)
+		if e.v.SnapshotEvery > 0 && t%e.v.SnapshotEvery == 0 {
+			round, st := e.srv.SnapshotState()
+			if _, err := platform.WriteSnapshot(e.snapDir, round, st); err != nil {
+				return false, err
+			}
+			e.Snapshots++
+		}
 		if sc.Federation != nil && t%sc.Federation.Every == 0 {
 			if err := e.fedRound(t); err != nil {
-				return nil, err
+				return false, err
 			}
 		}
-		if e.aud.stop() {
-			logger.Printf("chaos: stopping after round %d: violation budget (%d) exhausted", t, maxViol)
+		if e.aud != nil && e.aud.stop() {
+			e.log.Printf("chaos: stopping after round %d: violation budget (%d) exhausted", t, e.aud.maxViol)
 			break
 		}
 	}
-
-	res := &Result{
-		Scenario:   sc.Name,
-		Seed:       sc.Seed,
-		Rounds:     e.aud.rounds,
-		Infeasible: e.aud.infeasible,
-		FedRounds:  e.fedRes,
-		Checks:     e.aud.checks,
-		Violations: append([]Violation(nil), e.aud.violations...),
-		Dumps:      append([]string(nil), e.aud.dumps...),
-		Actions:    e.actions,
-		Summary:    srv.Summary(),
-	}
-	return res, nil
+	return false, nil
 }
 
 // sendFault is the platform fault hook: announces to agents marked slow
@@ -403,7 +484,7 @@ func (e *engine) markAway(id, t int) {
 // scenario's seed sub-streams, then publishes the instruction table the
 // bid policies read.
 func (e *engine) prepare(t int) []int {
-	demand := e.demandFor(t)
+	demand := scenarioDemand(e.sc, t)
 
 	scripted := map[int]string{}
 	for _, ev := range e.sc.Events {
@@ -444,7 +525,7 @@ func (e *engine) prepare(t int) []int {
 			in.staleT, in.stale = park.t, park.bids
 			delete(e.pendingStale, id)
 		}
-		bids := e.bidsFor(id, t, len(demand))
+		bids := scenarioBids(e.sc, e.specs[id], t, len(demand))
 		switch mode {
 		case ActBid:
 			in.bids = bids
@@ -459,24 +540,14 @@ func (e *engine) prepare(t int) []int {
 			delete(e.pendingStale, id)
 		}
 		e.inst[id] = in
-		e.actions[mode]++
+		e.Actions[mode]++
 	}
 	return demand
 }
 
-// demandFor draws round t's residual demand, applying periodic and
-// scripted spikes.
-func (e *engine) demandFor(t int) []int { return scenarioDemand(e.sc, t) }
-
-// bidsFor draws agent id's alternative bids for round t.
-func (e *engine) bidsFor(id, t, needy int) []platform.WireBid {
-	return scenarioBids(e.sc, e.specs[id], t, needy)
-}
-
 // scenarioDemand is round t's residual demand as a pure function of the
-// scenario — shared by the churn engine and the equivalence harness,
-// whose restarted platform must see exactly the demand the dead one
-// announced.
+// scenario, with periodic and scripted spikes applied — so a restarted
+// platform sees exactly the demand the dead one announced.
 func scenarioDemand(sc *Scenario, t int) []int {
 	if len(sc.wlDemand) >= t && t >= 1 {
 		// Workload-driven scenario: Validate precomputed the schedule from
@@ -593,7 +664,7 @@ func (e *engine) fedRound(t int) error {
 	for c := 1; c <= spec.Clouds; c++ {
 		rng := workload.NewDerived(e.sc.Seed, "fed", t, c)
 		ins := &core.Instance{}
-		if c == spec.Clouds && e.fedRes%2 == 1 {
+		if c == spec.Clouds && e.FedRounds%2 == 1 {
 			// Every other federated round the last cloud is a pure bid
 			// pool: zero demand, bids only available for borrowing.
 			ins.Demand = nil
@@ -626,9 +697,18 @@ func (e *engine) fedRound(t int) error {
 	if err != nil {
 		return fmt.Errorf("chaos: federated round %d: %w", t, err)
 	}
-	e.fedRes++
-	e.aud.auditFed(t, res)
+	e.FedRounds++
+	if e.aud != nil {
+		e.aud.auditFed(t, res)
+	}
 	return nil
+}
+
+// liveIDs lists the connected agents in id order.
+func (e *engine) liveIDs() []int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return sortedKeys(e.agents)
 }
 
 // closeAgents disconnects every still-live agent.

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"edgeauction/internal/core"
@@ -26,33 +27,6 @@ func crashTestScenario(name string) *Scenario {
 
 var crashVariant = Variant{Name: "crash", Loop: LoopCrash}
 
-// assertEquivalent requires every variant to match the baseline: same WAL
-// bytes, same final ψ/χ state hash, same OnlineSummary.
-func assertEquivalent(t *testing.T, res *EquivalenceResult) {
-	t.Helper()
-	base := res.Baseline
-	if base.Summary == nil {
-		t.Fatalf("baseline has no summary")
-	}
-	for _, v := range res.Variants {
-		if !v.WALMatch {
-			t.Errorf("%s: WAL differs from the baseline's", v.Name)
-		}
-		if v.Hash != base.Hash {
-			t.Errorf("%s: state hash %s, baseline %s", v.Name, v.Hash, base.Hash)
-		}
-		if v.Summary == nil || *v.Summary != *base.Summary {
-			t.Errorf("%s: summary %+v, baseline %+v", v.Name, v.Summary, *base.Summary)
-		}
-		if !v.Match {
-			t.Errorf("%s: Match=false: %+v", v.Name, v)
-		}
-	}
-	if !res.Match {
-		t.Errorf("overall Match=false")
-	}
-}
-
 // TestCrashPointMatrix kills the platform at each scripted crash site in
 // turn and asserts the recovered run is byte-identical to an
 // uninterrupted one.
@@ -64,14 +38,10 @@ func TestCrashPointMatrix(t *testing.T) {
 		t.Run(point, func(t *testing.T) {
 			t.Parallel()
 			sc := crashTestScenario("matrix-"+point).CrashPlatformAt(7, point)
-			res, err := Equivalent(sc, Env{Dir: t.TempDir()}, crashVariant)
-			if err != nil {
-				t.Fatalf("Equivalent: %v", err)
+			res := assertVariantsMatch(t, sc, Env{}, crashVariant)
+			if v := res.Variants[0]; v.Crashes != 1 || v.Recoveries != 1 || v.Audited {
+				t.Errorf("crashes=%d recoveries=%d audited=%v, want 1/1 and unaudited", v.Crashes, v.Recoveries, v.Audited)
 			}
-			if v := res.Variants[0]; v.Crashes != 1 || v.Recoveries != 1 {
-				t.Errorf("crashes=%d recoveries=%d, want 1/1", v.Crashes, v.Recoveries)
-			}
-			assertEquivalent(t, res)
 		})
 	}
 }
@@ -82,11 +52,7 @@ func TestCrashPointMatrix(t *testing.T) {
 func TestCrashFinalRound(t *testing.T) {
 	t.Parallel()
 	sc := crashTestScenario("final").CrashPlatformAt(14, platform.CrashPostAnnounce)
-	res, err := Equivalent(sc, Env{Dir: t.TempDir()}, crashVariant)
-	if err != nil {
-		t.Fatalf("Equivalent: %v", err)
-	}
-	assertEquivalent(t, res)
+	assertVariantsMatch(t, sc, Env{}, crashVariant)
 }
 
 // TestCrashWithSnapshots checkpoints every 4 rounds, so the second
@@ -97,10 +63,7 @@ func TestCrashWithSnapshots(t *testing.T) {
 	sc := crashTestScenario("snap").
 		CrashPlatformAt(6, platform.CrashPreAnnounce).
 		CrashPlatformAt(11, platform.CrashMidGather)
-	res, err := Equivalent(sc, Env{Dir: t.TempDir()}, Variant{Name: "crash", Loop: LoopCrash, SnapshotEvery: 4})
-	if err != nil {
-		t.Fatalf("Equivalent: %v", err)
-	}
+	res := assertVariantsMatch(t, sc, Env{}, Variant{Name: "crash", Loop: LoopCrash, SnapshotEvery: 4})
 	v := res.Variants[0]
 	if v.Snapshots == 0 {
 		t.Fatalf("pass wrote no snapshots")
@@ -110,7 +73,6 @@ func TestCrashWithSnapshots(t *testing.T) {
 	if v.Replayed >= 10+5 {
 		t.Errorf("replayed %d records; snapshots should have cut the suffix", v.Replayed)
 	}
-	assertEquivalent(t, res)
 }
 
 // TestEquivalentReusedDir runs the same comparison twice in one working
@@ -129,7 +91,9 @@ func TestEquivalentReusedDir(t *testing.T) {
 		if err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
-		assertEquivalent(t, res)
+		if !res.Match {
+			t.Fatalf("run %d diverged: %+v", run, res)
+		}
 		got := res.Variants[0]
 		if got.Crashes != 2 || got.Recoveries != 2 || got.Snapshots == 0 {
 			t.Errorf("run %d: %+v, want 2 crashes, 2 recoveries and snapshots", run, got)
@@ -142,9 +106,9 @@ func TestEquivalentReusedDir(t *testing.T) {
 	}
 }
 
-// TestScenarioVariants pins which variants each builtin comparison
-// scenario gates, and that the observing and parallel variants really
-// change the server they configure.
+// TestScenarioVariants pins which variants each builtin scenario gates,
+// and that the observing and parallel variants really change the server
+// they configure.
 func TestScenarioVariants(t *testing.T) {
 	t.Parallel()
 	names := func(vs []Variant) []string {
@@ -154,39 +118,110 @@ func TestScenarioVariants(t *testing.T) {
 		}
 		return out
 	}
+	for _, name := range []string{"churn", "overload", "faults", "capacity", "federation"} {
+		sc, err := Builtin(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vs := ScenarioVariants(sc, 10)
+		if len(vs) != 1 || vs[0].Name != "rerun" || vs[0].Loop != LoopSerial || vs[0].Configure != nil {
+			t.Errorf("audited scenario %s variants %+v, want one plain serial rerun", name, vs)
+		}
+	}
 	crash := ScenarioVariants(crashScenario(), 10)
-	if got, want := names(crash), []string{"crash", "traced", "parallel-payments"}; !reflect.DeepEqual(got, want) {
+	if got, want := names(crash), []string{"crash", "untraced", "parallel-payments"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("crash scenario variants %v, want %v", got, want)
 	}
 	if crash[0].Loop != LoopCrash || crash[0].SnapshotEvery != 10 {
 		t.Errorf("crash variant %+v", crash[0])
 	}
 	piped := ScenarioVariants(pipelineScenario(), 10)
-	if got, want := names(piped), []string{"pipelined", "traced", "parallel-payments"}; !reflect.DeepEqual(got, want) {
+	if got, want := names(piped), []string{"pipelined", "untraced", "parallel-payments"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("pipeline scenario variants %v, want %v", got, want)
 	}
-	var cfg platform.ServerConfig
+	cfg := platform.ServerConfig{Tracer: &obs.Recorder{}, Audit: platform.NewAuditSink(nil)}
 	for _, v := range piped {
 		v.Configure(&cfg)
 	}
-	if cfg.PipelineYield <= 0 || cfg.Tracer == nil || cfg.Auction.Options.Parallelism != 4 {
-		t.Errorf("configured server %+v, want overlap window, tracer and parallelism 4", cfg)
+	if cfg.PipelineYield <= 0 || cfg.Tracer != nil || cfg.Audit != nil || cfg.Auction.Options.Parallelism != 4 {
+		t.Errorf("configured server %+v, want overlap window, no tracer or auditor, and parallelism 4", cfg)
+	}
+}
+
+// TestComparisonScenarioNeedsFixedPopulation: a platform restart or a
+// pipelined overlap leaves no gap between rounds for churn to act in, so
+// Validate refuses the combination instead of running something else.
+func TestComparisonScenarioNeedsFixedPopulation(t *testing.T) {
+	t.Parallel()
+	for name, mut := range map[string]func(*Scenario){
+		"churn":      func(s *Scenario) { s.WithChurn(ChurnSpec{CrashProb: 0.1, RejoinAfter: 1}) },
+		"event":      func(s *Scenario) { s.On(3, 1, ActAbstain) },
+		"late join":  func(s *Scenario) { s.WithAgent(AgentSpec{ID: 9, Join: 4}) },
+		"leave":      func(s *Scenario) { s.Agents[0].Leave = 5 },
+		"federation": func(s *Scenario) { s.WithFederation(5, 3) },
+	} {
+		for _, sc := range []*Scenario{
+			crashTestScenario("crash-"+name).CrashPlatformAt(3, platform.CrashMidGather),
+			crashTestScenario("pipe-" + name).WithPipelined(),
+		} {
+			mut(sc)
+			if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), "fixed population") {
+				t.Errorf("%s: err = %v, want a fixed-population error", sc.Name, err)
+			}
+		}
+	}
+}
+
+// TestVariantDivergenceIsCaught is the comparison's negative control: a
+// variant whose platform skims every award must not match, and a variant
+// whose tracer loses the ψ events — which the WAL, state hash and summary
+// cannot see — must fail on its audit log alone.
+func TestVariantDivergenceIsCaught(t *testing.T) {
+	t.Parallel()
+	sc := crashTestScenario("diverge")
+	res, err := Equivalent(sc, Env{Dir: t.TempDir()},
+		Variant{Name: "corrupt", Configure: func(c *platform.ServerConfig) {
+			c.Fault.CorruptPayment = func(_ int, aw platform.WireAward) float64 { return aw.Payment * 0.9 }
+		}},
+		Variant{Name: "lossy-trace", Configure: func(c *platform.ServerConfig) { c.Tracer = dropPsi{c.Tracer} }},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Match || !res.Baseline.Match {
+		t.Fatalf("Match=%v with a clean baseline=%v, want a divergence", res.Match, res.Baseline.Match)
+	}
+	corrupt, lossy := res.Variants[0], res.Variants[1]
+	if corrupt.Match || corrupt.AuditMatch || len(corrupt.Violations) == 0 || corrupt.Violations[0].Invariant != "payment" {
+		t.Errorf("corrupt variant: match %v, audit match %v, violations %v; want a payment violation and no match",
+			corrupt.Match, corrupt.AuditMatch, corrupt.Violations)
+	}
+	if !lossy.Audited || !lossy.WALMatch || lossy.Hash != res.Baseline.Hash || *lossy.Summary != *res.Baseline.Summary {
+		t.Fatalf("lossy-trace variant %+v: want an audited pass with the baseline's WAL, hash and summary", lossy)
+	}
+	if lossy.AuditMatch || lossy.Match {
+		t.Errorf("lossy-trace variant: audit match %v, match %v; the lost ψ lines must fail the comparison", lossy.AuditMatch, lossy.Match)
+	}
+}
+
+// dropPsi is a tracer that loses every ψ update.
+type dropPsi struct{ obs.Tracer }
+
+func (d dropPsi) Emit(e obs.Event) {
+	if _, ok := e.(obs.PsiUpdate); !ok {
+		d.Tracer.Emit(e)
 	}
 }
 
 // TestPipelineCompareMatches runs a shortened pipeline scenario with its
-// scenario variants and requires a full match: identical WAL bytes, state
-// hash and summary. This is the in-tree version of `chaos -scenario
+// scenario variants and requires a full match: identical WAL bytes, audit
+// log where audited, state hash and summary. This is the in-tree version of `chaos -scenario
 // pipeline` (the soak gate runs the full 120 rounds).
 func TestPipelineCompareMatches(t *testing.T) {
 	t.Parallel()
 	sc := pipelineScenario()
 	sc.Rounds = 40
-	res, err := Equivalent(sc, Env{Dir: t.TempDir()}, ScenarioVariants(sc, 0)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertEquivalent(t, res)
+	res := assertVariantsMatch(t, sc, Env{}, ScenarioVariants(sc, 0)...)
 	if res.Baseline.Summary.Rounds != sc.Rounds {
 		t.Errorf("baseline summary %+v, want %d rounds", res.Baseline.Summary, sc.Rounds)
 	}

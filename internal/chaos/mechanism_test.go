@@ -87,13 +87,7 @@ func mechScenario(name string, spec core.MechanismSpec) *Scenario {
 // certificate/critical-value checks switched off.
 func TestDoubleAuctionScenarioClean(t *testing.T) {
 	var log bytes.Buffer
-	res, err := Run(Config{
-		Scenario: mechScenario("da-clean", core.MechanismSpec{Name: core.NameDoubleAuction}),
-		AuditLog: &log,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := baseline(t, mechScenario("da-clean", core.MechanismSpec{Name: core.NameDoubleAuction}), Env{AuditLog: &log})
 	if len(res.Violations) != 0 {
 		t.Fatalf("honest double auction flagged: %v", res.Violations)
 	}
@@ -109,12 +103,7 @@ func TestDoubleAuctionScenarioClean(t *testing.T) {
 // strict no-escalation rule may drop rounds as infeasible; dropped rounds
 // must still audit clean.
 func TestPostedPriceScenarioClean(t *testing.T) {
-	res, err := Run(Config{
-		Scenario: mechScenario("pp-clean", core.MechanismSpec{Name: core.NamePostedPrice}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := baseline(t, mechScenario("pp-clean", core.MechanismSpec{Name: core.NamePostedPrice}), Env{})
 	if len(res.Violations) != 0 {
 		t.Fatalf("honest posted price flagged: %v", res.Violations)
 	}
@@ -124,12 +113,7 @@ func TestPostedPriceScenarioClean(t *testing.T) {
 // universal individual-rationality check is the one that catches a
 // winner paid only for the coverage it adds rather than its whole bid.
 func TestFixedPriceScenarioClean(t *testing.T) {
-	res, err := Run(Config{
-		Scenario: mechScenario("fp-clean", core.MechanismSpec{Name: core.NameFixedPrice, UnitPrice: 20}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := baseline(t, mechScenario("fp-clean", core.MechanismSpec{Name: core.NameFixedPrice, UnitPrice: 20}), Env{})
 	if len(res.Violations) != 0 {
 		t.Fatalf("honest fixed price flagged: %v", res.Violations)
 	}
@@ -143,12 +127,7 @@ func TestFixedPriceScenarioClean(t *testing.T) {
 // negative control proving the generalized auditor still bites.
 func TestUndercutMechanismTripsIR(t *testing.T) {
 	testMechanisms()
-	res, err := Run(Config{
-		Scenario: mechScenario("toy-ir", core.MechanismSpec{Name: "toy-undercut"}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := baseline(t, mechScenario("toy-ir", core.MechanismSpec{Name: "toy-undercut"}), Env{})
 	if len(res.Violations) == 0 {
 		t.Fatal("undercutting mechanism went unnoticed")
 	}
@@ -168,12 +147,7 @@ func TestUndercutMechanismTripsIR(t *testing.T) {
 // penalty-bound invariant.
 func TestRiggedSettlementTripsPenaltyBound(t *testing.T) {
 	testMechanisms()
-	res, err := Run(Config{
-		Scenario: mechScenario("rigged-da", core.MechanismSpec{Name: "rigged-da"}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := baseline(t, mechScenario("rigged-da", core.MechanismSpec{Name: "rigged-da"}), Env{})
 	if len(res.Violations) == 0 {
 		t.Fatal("rigged settlement went unnoticed")
 	}
@@ -184,26 +158,14 @@ func TestRiggedSettlementTripsPenaltyBound(t *testing.T) {
 	}
 }
 
-// TestMechanismScenarioDeterministic: two runs of a non-SSAM scenario
-// must still produce byte-identical audit logs — mechanism dispatch must
-// not leak nondeterminism into the soak gate.
+// TestMechanismScenarioDeterministic: a rerun of a non-SSAM scenario
+// must still reproduce the baseline's audit log and WAL byte for byte —
+// mechanism dispatch must not leak nondeterminism into the soak gate.
 func TestMechanismScenarioDeterministic(t *testing.T) {
-	var logs [2]bytes.Buffer
-	for i := range logs {
-		res, err := Run(Config{
-			Scenario: mechScenario("da-det", core.MechanismSpec{Name: core.NameDoubleAuction}),
-			AuditLog: &logs[i],
-		})
-		if err != nil {
-			t.Fatalf("run %d: %v", i, err)
-		}
-		if len(res.Violations) != 0 {
-			t.Fatalf("run %d: %v", i, res.Violations)
-		}
-	}
-	if logs[0].Len() == 0 || !bytes.Equal(logs[0].Bytes(), logs[1].Bytes()) {
-		t.Fatalf("audit logs differ between identical double-auction runs:\n%s",
-			firstDiff(logs[0].String(), logs[1].String()))
+	sc := mechScenario("da-det", core.MechanismSpec{Name: core.NameDoubleAuction})
+	res := assertVariantsMatch(t, sc, Env{}, ScenarioVariants(sc, 0)...)
+	if len(res.Variants) != 1 || !res.Variants[0].Audited {
+		t.Fatalf("variants %+v, want one audited rerun", res.Variants)
 	}
 }
 

@@ -10,13 +10,12 @@
 // Scenarios are declared in a small builder DSL or as JSON files (see
 // testdata/scenarios) and replay byte-identically from a seed: every
 // random draw comes from a workload.DeriveSeed sub-stream keyed by
-// (round, agent), so the audit log two runs produce is comparable with
-// cmp(1). Comparison scenarios extend the property to the platform's
-// durable record: Equivalent runs a serial, crash-free baseline and a set
-// of execution variants (kill/recover, pipelined, traced, parallel
-// payments) and byte-compares their WALs, state hashes and summaries.
-// The cmd/chaos binary and the soak Makefile targets build on exactly
-// these properties.
+// (round, agent). Equivalent is the one driver: it runs the scenario as
+// an audited, serial, crash-free baseline and once per execution variant
+// (a rerun, kill/recover, pipelined, untraced, parallel payments), each
+// pass one run of the same engine, and byte-compares their WALs, audit
+// logs, state hashes and summaries. The cmd/chaos binary and the soak
+// Makefile targets build on exactly this.
 package chaos
 
 import (
@@ -149,16 +148,16 @@ type Scenario struct {
 	Federation    *FederationSpec `json:"federation,omitempty"`
 	// PlatformCrashes scripts kill/restart points for the PLATFORM
 	// process itself (not an agent). A scenario carrying any entry is a
-	// comparison scenario (Equivalent) rather than an audited one: its
-	// crash variant kills the platform at each scripted point, recovers
-	// from snapshot + WAL-suffix replay, and must match an uninterrupted
-	// pass byte-for-byte.
+	// comparison scenario: its crash variant (ScenarioVariants) kills the
+	// platform at each scripted point, recovers from snapshot +
+	// WAL-suffix replay, and must match the uninterrupted baseline
+	// byte-for-byte. Comparison scenarios hold a fixed population.
 	PlatformCrashes []CrashSpec `json:"platform_crashes,omitempty"`
-	// Pipelined makes the scenario a comparison scenario (Equivalent)
-	// whose pipelined variant clears the rounds through the overlapped
-	// round engine (platform.RunPipelined); its WAL bytes, final state
-	// hash and summary must match the serial baseline's — the overlap is
-	// an implementation detail the durable record cannot see.
+	// Pipelined makes the scenario a comparison scenario whose pipelined
+	// variant clears the rounds through the overlapped round engine
+	// (platform.RunPipelined); its WAL bytes, final state hash and summary
+	// must match the serial baseline's — the overlap is an implementation
+	// detail the durable record cannot see.
 	Pipelined bool `json:"pipelined,omitempty"`
 	// Mechanism selects the single-stage mechanism the platform (and the
 	// auditor's shadow replay) clears rounds through. Nil means SSAM and
@@ -404,6 +403,17 @@ func (s *Scenario) Validate() error {
 		case platform.CrashMidGather, platform.CrashPreAnnounce, platform.CrashPostAnnounce:
 		default:
 			return fmt.Errorf("chaos: scenario %q: unknown platform crash point %q", s.Name, c.Point)
+		}
+	}
+	if len(s.PlatformCrashes) > 0 || s.Pipelined {
+		// A restart or a pipelined overlap leaves no between-round gap for
+		// churn, scripted events or federated rounds to act in.
+		fixed := s.Churn == ChurnSpec{} && len(s.Events) == 0 && s.Federation == nil
+		for _, a := range s.Agents {
+			fixed = fixed && a.Join <= 1 && a.Leave == 0
+		}
+		if !fixed {
+			return fmt.Errorf("chaos: scenario %q: platform crashes and pipelining need a fixed population (no churn, events, late joins, leaves or federation)", s.Name)
 		}
 	}
 	if s.Workload != nil {

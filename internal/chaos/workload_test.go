@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 )
@@ -100,34 +99,21 @@ func TestWorkloadScenarioJSONRoundTrip(t *testing.T) {
 }
 
 // TestWorkloadScenarioRunsClean drives a short workload-driven scenario
-// through the real platform twice: both runs must be audit-clean and
-// byte-identical — the in-process version of the soak-workload gate.
+// through the real platform with its rerun variant: the baseline must be
+// audit-clean and the rerun byte-identical — the in-process version of
+// `chaos -scenario overload`.
 func TestWorkloadScenarioRunsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spins a real platform")
 	}
-	scenario := func() *Scenario {
-		return New("overload-short").
-			WithSeed(23).
-			WithRounds(12).
-			WithDeadline(40).
-			WithAgents(4, 200).
-			WithWorkload(WorkloadSpec{Topology: "overload", WorkScale: 3})
-	}
-	var logs [2]bytes.Buffer
-	for i := range logs {
-		res, err := Run(Config{Scenario: scenario(), AuditLog: &logs[i]})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Violations) != 0 {
-			t.Fatalf("run %d: %d violations, first: %+v", i, len(res.Violations), res.Violations[0])
-		}
-		if res.Rounds != 12 {
-			t.Fatalf("run %d: audited %d rounds, want 12", i, res.Rounds)
-		}
-	}
-	if !bytes.Equal(logs[0].Bytes(), logs[1].Bytes()) {
-		t.Fatal("audit logs differ between two runs of the same workload scenario")
+	sc := New("overload-short").
+		WithSeed(23).
+		WithRounds(12).
+		WithDeadline(40).
+		WithAgents(4, 200).
+		WithWorkload(WorkloadSpec{Topology: "overload", WorkScale: 3})
+	res := assertVariantsMatch(t, sc, Env{}, ScenarioVariants(sc, 0)...)
+	if res.Baseline.Rounds != 12 {
+		t.Fatalf("audited %d rounds, want 12", res.Baseline.Rounds)
 	}
 }

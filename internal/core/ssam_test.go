@@ -253,6 +253,12 @@ func TestValidateRejectsMalformed(t *testing.T) {
 			{Bidder: 1, Alt: 0, Price: 1, Covers: []int{0}, Units: 1},
 			{Bidder: 1, Alt: 0, Price: 2, Covers: []int{0}, Units: 1},
 		}}},
+		{"duplicate cover after a descent", Instance{Demand: []int{1, 1, 1}, Bids: []Bid{{Bidder: 1, Price: 1, Covers: []int{2, 1, 2}, Units: 1}}}},
+		{"duplicate alt out of order", Instance{Demand: []int{1}, Bids: []Bid{
+			{Bidder: 1, Alt: 0, Price: 1, Covers: []int{0}, Units: 1},
+			{Bidder: 2, Alt: 0, Price: 1, Covers: []int{0}, Units: 1},
+			{Bidder: 1, Alt: 0, Price: 2, Covers: []int{0}, Units: 1},
+		}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -260,6 +266,26 @@ func TestValidateRejectsMalformed(t *testing.T) {
 				t.Fatalf("want validation error")
 			}
 		})
+	}
+}
+
+// TestValidateCanonicalAllocatesNothing pins the zero-allocation promise
+// of Validate (and so of CheckBid) on an instance in canonical
+// (Bidder, Alt) order — the shape the platform assembles every round —
+// at the platform-fanin benchmark's 20k bids, with some covers out of
+// ascending order to exercise CheckBid's duplicate scan.
+func TestValidateCanonicalAllocatesNothing(t *testing.T) {
+	const bidders, needy = 20000, 8
+	ins := &Instance{Demand: make([]int, needy)}
+	for i := 1; i <= bidders; i++ {
+		k := i % needy
+		ins.Bids = append(ins.Bids, Bid{Bidder: i, Alt: 0, Price: float64(i % 60), Covers: []int{k, (k + 1) % needy}, Units: 1})
+	}
+	if err := ins.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { _ = ins.Validate() }); allocs != 0 {
+		t.Fatalf("Validate allocates %v times per call on a canonical instance, want 0", allocs)
 	}
 }
 

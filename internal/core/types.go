@@ -119,10 +119,11 @@ func (ins *Instance) Clone() *Instance {
 	return out
 }
 
-// Validate checks structural well-formedness: positive demands, positive
-// prices and units, unique in-range cover entries, and per-bidder unique
-// alternative indices. It returns a descriptive error on the first
-// violation found.
+// Validate checks structural well-formedness: positive demands, every
+// bid passing CheckBid, and per-bidder unique alternative indices. It
+// returns a descriptive error on the first violation found. An instance
+// in canonical (Bidder, Alt) order — what the platform's ingest buffer
+// assembles — is validated without allocating.
 func (ins *Instance) Validate() error {
 	for k, d := range ins.Demand {
 		if d < 0 {
@@ -130,32 +131,62 @@ func (ins *Instance) Validate() error {
 		}
 	}
 	type altKey struct{ bidder, alt int }
-	seenAlt := make(map[altKey]struct{}, len(ins.Bids))
-	for idx, b := range ins.Bids {
-		if b.Price < 0 || math.IsNaN(b.Price) || math.IsInf(b.Price, 0) {
-			return fmt.Errorf("core: bid %d has invalid price %v", idx, b.Price)
+	var seenAlt map[altKey]struct{} // built only once the bids leave canonical order
+	for idx := range ins.Bids {
+		b := &ins.Bids[idx]
+		if err := CheckBid(b.Price, b.Units, b.Covers, len(ins.Demand)); err != nil {
+			return fmt.Errorf("core: bid %d %w", idx, err)
 		}
-		if b.Units < 1 {
-			return fmt.Errorf("core: bid %d has non-positive units %d", idx, b.Units)
-		}
-		if len(b.Covers) == 0 {
-			return fmt.Errorf("core: bid %d covers no needy microservice", idx)
-		}
-		seen := make(map[int]struct{}, len(b.Covers))
-		for _, k := range b.Covers {
-			if k < 0 || k >= len(ins.Demand) {
-				return fmt.Errorf("core: bid %d covers out-of-range needy microservice %d", idx, k)
+		if seenAlt == nil {
+			if idx == 0 || ins.Bids[idx-1].Bidder < b.Bidder ||
+				(ins.Bids[idx-1].Bidder == b.Bidder && ins.Bids[idx-1].Alt < b.Alt) {
+				continue // strictly increasing (Bidder, Alt): cannot repeat a pair
 			}
-			if _, dup := seen[k]; dup {
-				return fmt.Errorf("core: bid %d covers needy microservice %d twice", idx, k)
+			seenAlt = make(map[altKey]struct{}, len(ins.Bids))
+			for _, p := range ins.Bids[:idx] {
+				seenAlt[altKey{p.Bidder, p.Alt}] = struct{}{}
 			}
-			seen[k] = struct{}{}
 		}
 		key := altKey{b.Bidder, b.Alt}
 		if _, dup := seenAlt[key]; dup {
 			return fmt.Errorf("core: bidder %d submits duplicate alternative index %d", b.Bidder, b.Alt)
 		}
 		seenAlt[key] = struct{}{}
+	}
+	return nil
+}
+
+// CheckBid applies the per-bid rules of Validate to one bid of a round
+// with needy needy microservices: a finite, non-negative price, at least
+// one unit, and a non-empty set of distinct, in-range covers. It
+// allocates nothing unless it fails, so the platform runs it on every
+// untrusted bid at ingest. The error reads as a predicate on the bid
+// ("has invalid price NaN"); callers prefix which bid it is.
+func CheckBid(price float64, units int, covers []int, needy int) error {
+	if price < 0 || math.IsNaN(price) || math.IsInf(price, 0) {
+		return fmt.Errorf("has invalid price %v", price)
+	}
+	if units < 1 {
+		return fmt.Errorf("has non-positive units %d", units)
+	}
+	if len(covers) == 0 {
+		return errors.New("covers no needy microservice")
+	}
+	ascending := true
+	for i, k := range covers {
+		if k < 0 || k >= needy {
+			return fmt.Errorf("covers out-of-range needy microservice %d", k)
+		}
+		if ascending = ascending && (i == 0 || covers[i-1] < k); ascending {
+			continue // strictly ascending so far: k is new
+		}
+		// Scan the prefix, which holds distinct in-range indices and so is
+		// at most needy long.
+		for _, p := range covers[:i] {
+			if p == k {
+				return fmt.Errorf("covers needy microservice %d twice", k)
+			}
+		}
 	}
 	return nil
 }

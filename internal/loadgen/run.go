@@ -19,9 +19,6 @@ type RunConfig struct {
 	Agents int
 	// Rounds is how many measured rounds to clear (required, > 0).
 	Rounds int
-	// Pipelined selects RunPipelined (gather t+1 overlapped with settle
-	// t) instead of the serial RunRound loop.
-	Pipelined bool
 	// ThinkTime is the fleet's simulated per-session decision latency.
 	ThinkTime time.Duration
 	// AgentsPerConn is the session multiplexing factor (0 = default).
@@ -233,21 +230,6 @@ func (h *harness) measure(pipelined bool, n int) (*Result, error) {
 	}, nil
 }
 
-// Run starts a server on a loopback port, connects the fleet, clears
-// warmup + measured rounds, and reports throughput, tail latency, and
-// allocation rate. The server and fleet are torn down before returning.
-func Run(cfg RunConfig) (*Result, error) {
-	h, err := newHarness(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer h.close()
-	if _, err := h.runRounds(cfg.Pipelined, h.cfg.Warmup); err != nil {
-		return nil, fmt.Errorf("loadgen: warmup: %w", err)
-	}
-	return h.measure(cfg.Pipelined, cfg.Rounds)
-}
-
 // PairedResult compares the serial and pipelined round engines over one
 // shared server + fleet.
 type PairedResult struct {
@@ -265,9 +247,9 @@ type PairedResult struct {
 // RunPaired measures both modes back to back `passes` times, alternating
 // serial and pipelined blocks inside one process so scheduler noise, GC
 // pacing and cache state hit both equally, and reports the median pass
-// per mode. cfg.Pipelined is ignored. This is the shape the committed
-// load benchmark uses: on a noisy single-core box a single pass of each
-// mode can swing ±20%, which would drown the overlap gain.
+// per mode. This is the shape the committed load benchmark uses: on a
+// noisy single-core box a single pass of each mode can swing ±20%, which
+// would drown the overlap gain.
 func RunPaired(cfg RunConfig, passes int) (*PairedResult, error) {
 	if passes <= 0 {
 		passes = 3

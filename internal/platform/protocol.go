@@ -49,6 +49,11 @@ const (
 	// RejectCircuitOpen: the agent's circuit breaker is open after
 	// repeated drops; registration is refused until the cool-down.
 	RejectCircuitOpen = "circuit_open"
+	// RejectInvalidBid: the submission breaks the instance rules
+	// (core.CheckBid, or a repeated alternative index). It counts as the
+	// agent's answer for the round, with no bids; RejectMsg.Reason says
+	// which rule failed.
+	RejectInvalidBid = "invalid_bid"
 )
 
 // Envelope frames every protocol message.
@@ -63,7 +68,7 @@ type Envelope struct {
 	Error    string        `json:"error,omitempty"`
 }
 
-// RejectMsg explains an admission-control shed to the agent.
+// RejectMsg explains a shed or refused submission to the agent.
 type RejectMsg struct {
 	// T is the round the rejected submission was tagged with (0 for
 	// registration rejections).
@@ -74,6 +79,8 @@ type RejectMsg struct {
 	Code string `json:"code"`
 	// RetryAfterMillis hints when the agent may try again (0: unknown).
 	RetryAfterMillis int64 `json:"retry_after_ms,omitempty"`
+	// Reason details a RejectInvalidBid: the first broken rule.
+	Reason string `json:"reason,omitempty"`
 }
 
 // HelloMsg registers an agent with the platform.

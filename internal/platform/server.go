@@ -7,6 +7,7 @@ import (
 	"io"
 	"log"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -155,6 +156,9 @@ type session struct {
 	// checks it so a dropped session's in-flight bid cannot double-count
 	// against the pending adjustment.
 	dead atomic.Bool
+	// alts is checkSubmission's scratch, touched only by the session's
+	// read loop.
+	alts []int
 }
 
 func (ss *session) send(env *Envelope, timeout time.Duration) error {
@@ -467,7 +471,10 @@ func (s *Server) ingestSubmit(sess *session, msg *BidSubmitMsg) {
 // queue bound), then the mechanism-safety rules the serial engine
 // enforced in its gather loop: a stale round tag is discarded with the
 // agent kept pending, and only the first current-round submission counts
-// — a resubmission could game the critical payment.
+// — a resubmission could game the critical payment. A submission breaking
+// the instance rules (checkSubmission) is that answer: it adds no bids
+// and is rejected with RejectInvalidBid, so a malformed bid fails only
+// its sender, never the round.
 func (s *Server) ingestBid(sess *session, id, tag int, bids []WireBid, now time.Time) {
 	if s.adm != nil {
 		if ok, wait := s.adm.allowBid(id, now); !ok {
@@ -507,14 +514,19 @@ func (s *Server) ingestBid(sess *session, id, tag int, bids []WireBid, now time.
 		return
 	}
 	g.answered[id] = true
-	for i := range bids {
-		wb := &bids[i]
-		g.buf.Add(id, wb.Alt, wb.Price, wb.Covers, wb.Units)
-	}
 	g.pending--
 	if g.pending <= 0 && !g.doneClosed {
 		close(g.done)
 		g.doneClosed = true
+	}
+	if err := checkSubmission(bids, len(g.demand), &sess.alts); err != nil {
+		s.gmu.Unlock()
+		s.reject(sess, &RejectMsg{T: tag, Agent: id, Code: RejectInvalidBid, Reason: err.Error()})
+		return
+	}
+	for i := range bids {
+		wb := &bids[i]
+		g.buf.Add(id, wb.Alt, wb.Price, wb.Covers, wb.Units)
 	}
 	rtt := now.Sub(g.announcedAt)
 	if s.tracer != nil {
@@ -531,6 +543,37 @@ func (s *Server) ingestBid(sess *session, id, tag int, bids []WireBid, now time.
 	if s.adm != nil {
 		s.adm.recordSuccess(id)
 	}
+}
+
+// checkSubmission applies core.CheckBid to each bid of one agent's
+// submission for a round with needy needy microservices, and rejects a
+// repeated alternative index. Ascending alternatives — what agents send —
+// pass in one allocation-free sweep; otherwise the indices are sorted in
+// the session's scratch, so a hostile order costs O(n log n), not O(n²).
+func checkSubmission(bids []WireBid, needy int, scratch *[]int) error {
+	ascending := true
+	for i := range bids {
+		b := &bids[i]
+		if err := core.CheckBid(b.Price, b.Units, b.Covers, needy); err != nil {
+			return fmt.Errorf("bid alt %d %w", b.Alt, err)
+		}
+		ascending = ascending && (i == 0 || bids[i-1].Alt < b.Alt)
+	}
+	if ascending {
+		return nil
+	}
+	alts := (*scratch)[:0]
+	for i := range bids {
+		alts = append(alts, bids[i].Alt)
+	}
+	*scratch = alts
+	slices.Sort(alts)
+	for i := 1; i < len(alts); i++ {
+		if alts[i] == alts[i-1] {
+			return fmt.Errorf("alternative index %d submitted twice", alts[i])
+		}
+	}
+	return nil
 }
 
 // reject sends a typed backpressure reply. A peer that cannot take the
