@@ -1,10 +1,11 @@
 package edgeauction
 
-// Benchmark harness: one benchmark per figure of the paper's evaluation
-// (§V, Figures 3-6) plus the DESIGN.md ablations and micro-benchmarks of
-// the mechanism hot paths. The figure benches run the same experiment
-// drivers as cmd/repro in Quick mode so `go test -bench=.` stays tractable;
-// run cmd/repro for the full paper-scale sweeps.
+// Benchmark harness: one sub-benchmark per registered experiment (the
+// paper's evaluation, §V Figures 3-6, the DESIGN.md ablations and the
+// extensions) plus micro-benchmarks of the mechanism hot paths. The
+// experiment benches run the same registry as cmd/repro in Quick mode so
+// `go test -bench=.` stays tractable; run cmd/repro for the full
+// paper-scale sweeps.
 
 import (
 	"encoding/json"
@@ -38,130 +39,18 @@ func benchCfg(seed int64) experiments.Config {
 	}
 }
 
-// BenchmarkFig3aSSAMRatio regenerates Figure 3(a): SSAM performance ratio
-// vs number of microservices for J ∈ {1, 2}.
-func BenchmarkFig3aSSAMRatio(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig3a(benchCfg(int64(i + 1)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.RatioByJ[1].Len() == 0 {
-			b.Fatal("empty result")
-		}
-	}
-}
-
-// BenchmarkFig3bSSAMSocialCost regenerates Figure 3(b): SSAM social cost,
-// payment, and optimal cost vs number of microservices for 100/200
-// requests.
-func BenchmarkFig3bSSAMSocialCost(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig3b(benchCfg(int64(i + 1))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig4aIndividualRationality regenerates Figure 4(a): per-winner
-// payment vs actual price.
-func BenchmarkFig4aIndividualRationality(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig4a(benchCfg(int64(i + 1)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Violations != 0 {
-			b.Fatalf("%d individual-rationality violations", res.Violations)
-		}
-	}
-}
-
-// BenchmarkFig4bRunningTime regenerates Figure 4(b): SSAM running time vs
-// instance size.
-func BenchmarkFig4bRunningTime(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig4b(benchCfg(int64(i + 1))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig5aMSOARatio regenerates Figure 5(a): MSOA performance ratio
-// vs number of microservices for 100/200 requests.
-func BenchmarkFig5aMSOARatio(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig5a(benchCfg(int64(i + 1))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig5bMSOAVariants regenerates Figure 5(b): the MSOA / MSOA-DA /
-// MSOA-RC / MSOA-OA comparison.
-func BenchmarkFig5bMSOAVariants(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig5b(benchCfg(int64(i + 1))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig6aRoundsBids regenerates Figure 6(a): MSOA ratio vs rounds T
-// and bids-per-bidder J.
-func BenchmarkFig6aRoundsBids(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig6a(benchCfg(int64(i + 1))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig6bMSOASocialCost regenerates Figure 6(b): MSOA social cost,
-// payment, and optimal vs number of microservices.
-func BenchmarkFig6bMSOASocialCost(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig6b(benchCfg(int64(i + 1))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationScaledPrice measures the ψ price-augmentation ablation.
-func BenchmarkAblationScaledPrice(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationScaledPrice(benchCfg(int64(i + 1))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationPayments measures the critical-value vs first-price
-// payment ablation.
-func BenchmarkAblationPayments(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationPayments(benchCfg(int64(i + 1))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationGreedyMetric measures the greedy-metric ablation.
-func BenchmarkAblationGreedyMetric(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationGreedyMetric(benchCfg(int64(i + 1))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationFixedPrice measures the auction vs posted-price
-// ablation.
-func BenchmarkAblationFixedPrice(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationFixedPrice(benchCfg(int64(i + 1))); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkExperiments regenerates every experiment of the registry, one
+// sub-benchmark per experiment name: the paper's figures, the ablations
+// and the extensions.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.Experiments() {
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Run(benchCfg(int64(i + 1))); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -286,52 +175,6 @@ func BenchmarkDemandEstimate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if est.Estimate(in) < 0 {
 			b.Fatal("negative estimate")
-		}
-	}
-}
-
-// BenchmarkWinningStats regenerates the §V supplementary winning-bid
-// statistics (percentage of winning tasks, price distribution).
-func BenchmarkWinningStats(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.WinningStats(benchCfg(int64(i + 1))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationCapacity measures the Theorem 7 capacity-slack study.
-func BenchmarkAblationCapacity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationCapacity(benchCfg(int64(i + 1))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTruthfulnessSweep measures the empirical truthfulness probe.
-func BenchmarkTruthfulnessSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.TruthfulnessSweep(benchCfg(int64(i + 1))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFederation measures the cross-cloud borrowing extension sweep.
-func BenchmarkFederation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Federation(benchCfg(int64(i + 1))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationDemand measures the demand-estimation scheme ablation.
-func BenchmarkAblationDemand(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.DemandAblation(benchCfg(int64(i + 1))); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

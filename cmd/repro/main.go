@@ -1,6 +1,7 @@
-// Command repro regenerates the paper's evaluation (Figures 3-6) and the
-// ablation studies described in DESIGN.md. It prints each figure as an
-// aligned table and can optionally emit CSV files for plotting.
+// Command repro regenerates the paper's evaluation (Figures 3-6), the
+// ablation studies described in DESIGN.md and the extensions: every
+// experiment of experiments.Experiments(), in registry order. It prints
+// each as an aligned table and can optionally emit CSV files for plotting.
 //
 // Usage:
 //
@@ -22,7 +23,6 @@ import (
 
 	"edgeauction/internal/core"
 	"edgeauction/internal/experiments"
-	"edgeauction/internal/metrics"
 	"edgeauction/internal/obs"
 	"edgeauction/internal/workload"
 )
@@ -34,120 +34,9 @@ func main() {
 	}
 }
 
-type figure struct {
-	name string
-	run  func(experiments.Config) (renderable, []*metrics.Series, error)
-}
-
-type renderable interface{ Render() string }
-
-func figures() []figure {
-	return []figure{
-		{"3a", func(c experiments.Config) (renderable, []*metrics.Series, error) {
-			r, err := experiments.Fig3a(c)
-			if err != nil {
-				return nil, nil, err
-			}
-			return r, []*metrics.Series{r.RatioByJ[1], r.RatioByJ[2], r.CertifiedByJ[1], r.CertifiedByJ[2]}, nil
-		}},
-		{"3b", func(c experiments.Config) (renderable, []*metrics.Series, error) {
-			r, err := experiments.Fig3b(c)
-			if err != nil {
-				return nil, nil, err
-			}
-			s1, s2 := r.ByRequests[100], r.ByRequests[200]
-			return r, []*metrics.Series{s1.SocialCost, s1.Payment, s1.Optimal, s2.SocialCost, s2.Payment, s2.Optimal}, nil
-		}},
-		{"4a", func(c experiments.Config) (renderable, []*metrics.Series, error) {
-			r, err := experiments.Fig4a(c)
-			if err != nil {
-				return nil, nil, err
-			}
-			return r, []*metrics.Series{r.Price, r.Payment}, nil
-		}},
-		{"4b", func(c experiments.Config) (renderable, []*metrics.Series, error) {
-			r, err := experiments.Fig4b(c)
-			if err != nil {
-				return nil, nil, err
-			}
-			return r, []*metrics.Series{r.MillisByRequests[100], r.MillisByRequests[200]}, nil
-		}},
-		{"5a", func(c experiments.Config) (renderable, []*metrics.Series, error) {
-			r, err := experiments.Fig5a(c)
-			if err != nil {
-				return nil, nil, err
-			}
-			return r, []*metrics.Series{r.RatioByRequests[100], r.RatioByRequests[200]}, nil
-		}},
-		{"5b", func(c experiments.Config) (renderable, []*metrics.Series, error) {
-			r, err := experiments.Fig5b(c)
-			if err != nil {
-				return nil, nil, err
-			}
-			return r, []*metrics.Series{
-				r.RatioByVariant[core.VariantBase], r.RatioByVariant[core.VariantDA],
-				r.RatioByVariant[core.VariantRC], r.RatioByVariant[core.VariantOA],
-			}, nil
-		}},
-		{"6a", func(c experiments.Config) (renderable, []*metrics.Series, error) {
-			r, err := experiments.Fig6a(c)
-			if err != nil {
-				return nil, nil, err
-			}
-			return r, []*metrics.Series{r.RatioByJ[1], r.RatioByJ[2], r.RatioByJ[4]}, nil
-		}},
-		{"6b", func(c experiments.Config) (renderable, []*metrics.Series, error) {
-			r, err := experiments.Fig6b(c)
-			if err != nil {
-				return nil, nil, err
-			}
-			s1, s2 := r.ByRequests[100], r.ByRequests[200]
-			return r, []*metrics.Series{s1.SocialCost, s1.Payment, s1.Optimal, s2.SocialCost, s2.Payment, s2.Optimal}, nil
-		}},
-		{"winstats", func(c experiments.Config) (renderable, []*metrics.Series, error) {
-			r, err := experiments.WinningStats(c)
-			if err != nil {
-				return nil, nil, err
-			}
-			return r, []*metrics.Series{r.WinPercent, r.BidderWinPercent}, nil
-		}},
-		{"overload", func(c experiments.Config) (renderable, []*metrics.Series, error) {
-			r, err := experiments.WorkloadOverload(c)
-			if err != nil {
-				return nil, nil, err
-			}
-			return r, []*metrics.Series{r.HotBacklog, r.HotUtil, r.CallerAlloc, r.CallerWait, r.Cost}, nil
-		}},
-		{"spikes", func(c experiments.Config) (renderable, []*metrics.Series, error) {
-			r, err := experiments.WorkloadSpikes(c)
-			if err != nil {
-				return nil, nil, err
-			}
-			return r, []*metrics.Series{r.NeedyPeak, r.ReserveUnits, r.Cost, r.SLA}, nil
-		}},
-		{"frontier", func(c experiments.Config) (renderable, []*metrics.Series, error) {
-			r, err := experiments.WorkloadFrontier(c)
-			if err != nil {
-				return nil, nil, err
-			}
-			return r, []*metrics.Series{r.SLA, r.ReserveShare, r.MeanWait, r.Cost}, nil
-		}},
-	}
-}
-
-func ablations() map[string]func(experiments.Config) (*experiments.AblationResult, error) {
-	return map[string]func(experiments.Config) (*experiments.AblationResult, error){
-		"scaledprice": experiments.AblationScaledPrice,
-		"payments":    experiments.AblationPayments,
-		"greedy":      experiments.AblationGreedyMetric,
-		"fixedprice":  experiments.AblationFixedPrice,
-		"capacity":    experiments.AblationCapacity,
-	}
-}
-
 func run(args []string) error {
 	fs := flag.NewFlagSet("repro", flag.ContinueOnError)
-	figFlag := fs.String("fig", "all", "figure to regenerate: 3a,3b,4a,4b,5a,5b,6a,6b, winstats, overload, spikes, frontier, arena, 'ablations', or 'all'")
+	figFlag := fs.String("fig", "all", "experiment to regenerate: "+selectorList())
 	seed := fs.Int64("seed", 1, "workload seed")
 	trials := fs.Int("trials", 5, "instances averaged per sweep point")
 	quick := fs.Bool("quick", false, "reduced sweeps for a fast smoke run")
@@ -173,6 +62,7 @@ func run(args []string) error {
 	cfg := experiments.Config{
 		Seed: *seed, Trials: *trials, Quick: *quick,
 		Parallelism: *parallelism, TrialParallelism: *trialParallelism,
+		ArenaSpecs: arenaSpecs,
 	}
 	if *mechanism != "" {
 		spec, err := core.ParseMechanismSpec(*mechanism)
@@ -225,122 +115,38 @@ func run(args []string) error {
 	}
 
 	ranAny := false
-	for _, f := range figures() {
-		if want != "all" && want != f.name {
+	for _, e := range experiments.Experiments() {
+		if want != "all" && want != e.Select {
 			continue
 		}
 		ranAny = true
 		start := time.Now()
-		result, series, err := f.run(cfg)
+		res, err := e.Run(cfg)
 		if err != nil {
-			return fmt.Errorf("figure %s: %w", f.name, err)
+			return fmt.Errorf("%s: %w", e.Name, err)
 		}
 		elapsed := time.Since(start)
-		fmt.Println(result.Render())
-		fmt.Printf("(figure %s regenerated in %v)\n\n", f.name, elapsed.Round(time.Millisecond))
-		bench.record("fig"+f.name, elapsed)
-		if *csvDir != "" {
-			if err := writeCSV(filepath.Join(*csvDir, "fig"+f.name+".csv"), series); err != nil {
+		fmt.Println(res.Render())
+		fmt.Printf("(%s done in %v)\n\n", e.Name, elapsed.Round(time.Millisecond))
+		bench.record(e.Name, elapsed)
+		if sr, ok := res.(experiments.SeriesResult); ok && *csvDir != "" {
+			if err := writeCSV(filepath.Join(*csvDir, e.Name+".csv"), sr); err != nil {
 				return err
 			}
 		}
-	}
-
-	if want == "all" || want == "ablations" {
-		ranAny = true
-		for name, runAbl := range ablations() {
-			start := time.Now()
-			result, err := runAbl(cfg)
-			if err != nil {
-				return fmt.Errorf("ablation %s: %w", name, err)
-			}
-			elapsed := time.Since(start)
-			fmt.Println(result.Render())
-			fmt.Printf("(ablation %s done in %v)\n\n", name, elapsed.Round(time.Millisecond))
-			bench.record("ablation_"+name, elapsed)
-			if *csvDir != "" {
-				if err := writeCSV(filepath.Join(*csvDir, "ablation_"+name+".csv"), result.Series); err != nil {
-					return err
-				}
-			}
-		}
-	}
-
-	if want == "all" || want == "federation" {
-		ranAny = true
-		start := time.Now()
-		res, err := experiments.Federation(cfg)
-		if err != nil {
-			return fmt.Errorf("federation sweep: %w", err)
-		}
-		elapsed := time.Since(start)
-		fmt.Println(res.Render())
-		fmt.Printf("(federation sweep done in %v)\n\n", elapsed.Round(time.Millisecond))
-		bench.record("federation", elapsed)
-		if *csvDir != "" {
-			if err := writeCSV(filepath.Join(*csvDir, "federation.csv"),
-				[]*metrics.Series{res.Covered, res.Cost, res.Borrowed}); err != nil {
-				return err
-			}
-		}
-	}
-
-	if want == "all" || want == "demand" {
-		ranAny = true
-		start := time.Now()
-		res, err := experiments.DemandAblation(cfg)
-		if err != nil {
-			return fmt.Errorf("demand ablation: %w", err)
-		}
-		elapsed := time.Since(start)
-		fmt.Println(res.Render())
-		fmt.Printf("(demand ablation done in %v)\n\n", elapsed.Round(time.Millisecond))
-		bench.record("demand_ablation", elapsed)
-	}
-
-	if want == "all" || want == "truthfulness" {
-		ranAny = true
-		start := time.Now()
-		res, err := experiments.TruthfulnessSweep(cfg)
-		if err != nil {
-			return fmt.Errorf("truthfulness sweep: %w", err)
-		}
-		elapsed := time.Since(start)
-		fmt.Println(res.Render())
-		fmt.Printf("(truthfulness sweep done in %v)\n\n", elapsed.Round(time.Millisecond))
-		bench.record("truthfulness", elapsed)
-	}
-
-	if want == "all" || want == "arena" {
-		ranAny = true
-		start := time.Now()
-		res, err := experiments.Arena(cfg, arenaSpecs)
-		if err != nil {
-			return fmt.Errorf("mechanism arena: %w", err)
-		}
-		elapsed := time.Since(start)
-		fmt.Println(res.Render())
-		fmt.Printf("(mechanism arena done in %v)\n\n", elapsed.Round(time.Millisecond))
-		bench.record("arena", elapsed)
-		if *arenaJSON != "" {
-			data, err := res.JSON()
+		if arena, ok := res.(*experiments.ArenaResult); ok && *arenaJSON != "" {
+			data, err := arena.JSON()
 			if err != nil {
 				return fmt.Errorf("marshal arena result: %w", err)
 			}
-			if dir := filepath.Dir(*arenaJSON); dir != "." {
-				if err := os.MkdirAll(dir, 0o755); err != nil {
-					return fmt.Errorf("create arena dir: %w", err)
-				}
-			}
-			if err := os.WriteFile(*arenaJSON, append(data, '\n'), 0o644); err != nil {
+			if err := writeFile(*arenaJSON, append(data, '\n')); err != nil {
 				return fmt.Errorf("write arena result: %w", err)
 			}
 			fmt.Printf("(arena result written to %s)\n\n", *arenaJSON)
 		}
 	}
-
 	if !ranAny {
-		return fmt.Errorf("unknown figure %q (want 3a,3b,4a,4b,5a,5b,6a,6b, winstats, truthfulness, arena, ablations, or all)", *figFlag)
+		return fmt.Errorf("unknown figure %q (want %s)", *figFlag, selectorList())
 	}
 	if bench != nil {
 		if err := bench.write(*benchJSON); err != nil {
@@ -387,29 +193,40 @@ func (b *benchReport) record(name string, d time.Duration) {
 }
 
 func (b *benchReport) write(path string) error {
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("create bench dir: %w", err)
-		}
-	}
 	data, err := json.MarshalIndent(b, "", "  ")
 	if err != nil {
 		return fmt.Errorf("marshal bench report: %w", err)
 	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	if err := writeFile(path, append(data, '\n')); err != nil {
 		return fmt.Errorf("write bench report: %w", err)
 	}
 	return nil
 }
 
-func writeCSV(path string, series []*metrics.Series) error {
+func writeCSV(path string, res experiments.SeriesResult) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("create %s: %w", path, err)
 	}
 	defer func() { _ = f.Close() }()
-	if err := metrics.WriteCSV(f, "x", series...); err != nil {
+	if err := experiments.WriteCSV(f, res); err != nil {
 		return fmt.Errorf("write %s: %w", path, err)
 	}
 	return nil
+}
+
+// writeFile writes data to path, creating its directory first.
+func writeFile(path string, data []byte) error {
+	if dir := filepath.Dir(path); dir != "." {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return err
+		}
+	}
+	return os.WriteFile(path, data, 0o644)
+}
+
+// selectorList names every -fig value: the registry's selectors, then
+// "all".
+func selectorList() string {
+	return strings.Join(experiments.Selectors(), ", ") + ", or all"
 }

@@ -3,22 +3,38 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"edgeauction/internal/experiments"
 )
 
+// TestFigureNamesUnique pins the order repro runs experiments in, and
+// records them under in -bench-json: the registry order, with unique
+// names (they are also the CSV file stems) and the five ablations
+// sharing one -fig selector.
 func TestFigureNamesUnique(t *testing.T) {
-	seen := map[string]bool{}
-	for _, f := range figures() {
-		if seen[f.name] {
-			t.Fatalf("duplicate figure name %q", f.name)
-		}
-		seen[f.name] = true
+	want := []string{
+		"fig3a", "fig3b", "fig4a", "fig4b", "fig5a", "fig5b", "fig6a", "fig6b",
+		"figwinstats", "figoverload", "figspikes", "figfrontier",
+		"ablation_scaledprice", "ablation_payments", "ablation_greedy", "ablation_fixedprice", "ablation_capacity",
+		"federation", "demand_ablation", "truthfulness", "arena",
 	}
-	for _, want := range []string{"3a", "3b", "4a", "4b", "5a", "5b", "6a", "6b", "winstats"} {
-		if !seen[want] {
-			t.Fatalf("missing figure %q", want)
+	var got []string
+	seen := map[string]bool{}
+	for _, e := range experiments.Experiments() {
+		if seen[e.Name] {
+			t.Fatalf("duplicate experiment name %q", e.Name)
 		}
+		seen[e.Name] = true
+		got = append(got, e.Name)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("registry order\n%v\nwant\n%v", got, want)
+	}
+	if n := len(experiments.Selectors()); n != len(want)-4 {
+		t.Fatalf("%d selectors, want %d (the five ablations share one)", n, len(want)-4)
 	}
 }
 
@@ -32,6 +48,11 @@ func TestRunUnknownFigure(t *testing.T) {
 	err := run([]string{"-fig", "9z", "-quick"})
 	if err == nil || !strings.Contains(err.Error(), "unknown figure") {
 		t.Fatalf("want unknown-figure error, got %v", err)
+	}
+	for _, sel := range append(experiments.Selectors(), "all") {
+		if !strings.Contains(err.Error(), sel) {
+			t.Errorf("unknown-figure error %q does not name -fig %s", err, sel)
+		}
 	}
 }
 

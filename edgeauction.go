@@ -159,7 +159,7 @@ type (
 	DoubleAuction       = core.DoubleAuction
 	Settlement          = core.Settlement
 	// ExperimentConfig configures the experiment drivers (seeds, trials,
-	// parallelism, the online mechanism under test).
+	// parallelism, the online mechanism under test, the arena's specs).
 	ExperimentConfig = experiments.Config
 	// ArenaResult is the head-to-head mechanism comparison; each
 	// ArenaMechanism row aggregates one competitor's metrics.
@@ -474,7 +474,8 @@ func VerifyPenaltyBound(st *Settlement, cfg DoubleAuctionConfig) error {
 // against per-round offline optima, and truthfulness regret under
 // misreport probes. Nil specs select DefaultArenaSpecs.
 func RunArena(cfg ExperimentConfig, specs []MechanismSpec) (*ArenaResult, error) {
-	return experiments.Arena(cfg, specs)
+	cfg.ArenaSpecs = specs
+	return experiments.Arena(cfg)
 }
 
 // DefaultArenaSpecs is the standard three-way race: SSAM, posted-price,

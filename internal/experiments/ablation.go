@@ -20,6 +20,9 @@ type AblationResult struct {
 	Notes  []string
 }
 
+// Curves returns the ablation's series.
+func (r *AblationResult) Curves() []*metrics.Series { return r.Series }
+
 // Render formats the ablation table.
 func (r *AblationResult) Render() string {
 	var b strings.Builder
@@ -29,7 +32,7 @@ func (r *AblationResult) Render() string {
 	if xLabel == "" {
 		xLabel = "microservices"
 	}
-	b.WriteString(metrics.Table(xLabel, r.Series...))
+	b.WriteString(metrics.Table(xLabel, r.Curves()...))
 	for _, n := range r.Notes {
 		b.WriteString(n)
 		b.WriteByte('\n')

@@ -19,8 +19,8 @@ import (
 //     (exact branch-and-bound when it closes, LP lower bound otherwise),
 //   - truthfulness regret: the largest utility gain any single-bid
 //     bidder extracts from a unilateral price misreport across seeded
-//     single-stage probe instances (TruthfulnessSweep's probe pattern,
-//     run through the Mechanism API for every competitor).
+//     single-stage probe instances (the probe grid TruthfulnessSweep
+//     runs on SSAM, here run for every competitor).
 //
 // Mechanisms race on identical TrueRounds per trial; per-round offline
 // denominators are accumulated per mechanism over the rounds it actually
@@ -85,7 +85,7 @@ func DefaultArenaSpecs() []core.MechanismSpec {
 // arenaCell is one trial's per-mechanism measurements.
 type arenaCell struct {
 	runs    []arenaRun
-	regrets []arenaRegret
+	regrets []regret
 }
 
 type arenaRun struct {
@@ -96,15 +96,18 @@ type arenaRun struct {
 	exactOpt, totalOpt int
 }
 
-type arenaRegret struct {
+// regret is the outcome of a misreport probe grid: probes run, probes
+// that beat truthful reporting, and the largest gain among them.
+type regret struct {
 	probes, profitable int
 	maxGain            float64
 }
 
-// Arena races the given mechanism specs head-to-head. Nil or empty specs
-// select DefaultArenaSpecs.
-func Arena(cfg Config, specs []core.MechanismSpec) (*ArenaResult, error) {
+// Arena races cfg.ArenaSpecs head-to-head; empty specs select
+// DefaultArenaSpecs.
+func Arena(cfg Config) (*ArenaResult, error) {
 	c := cfg.withDefaults()
+	specs := c.ArenaSpecs
 	if len(specs) == 0 {
 		specs = DefaultArenaSpecs()
 	}
@@ -121,7 +124,7 @@ func Arena(cfg Config, specs []core.MechanismSpec) (*ArenaResult, error) {
 	cells, err := runTrials(c, "arena", c.Trials, func(rng *workload.Rand, _ int) (arenaCell, error) {
 		cell := arenaCell{
 			runs:    make([]arenaRun, len(specs)),
-			regrets: make([]arenaRegret, len(specs)),
+			regrets: make([]regret, len(specs)),
 		}
 		// Online race: every mechanism clears the same scenario.
 		scn := workload.Online(rng, onlineConfig(n, 100, 2, rounds, false))
@@ -143,11 +146,7 @@ func Arena(cfg Config, specs []core.MechanismSpec) (*ArenaResult, error) {
 		// instances; every mechanism faces the same misreports.
 		probeRng := rng.Fork()
 		for pi := 0; pi < probeInstances; pi++ {
-			nb := 8 + probeRng.Intn(8)
-			ins := workload.Instance(probeRng, workload.InstanceConfig{
-				Bidders: nb, BidsPerBidder: 1,
-				DemandLo: 2, DemandHi: 8, UnitsLo: 1, UnitsHi: 3,
-			})
+			ins, nb := probeInstance(probeRng, 1)
 			for si, spec := range specs {
 				reg, err := probeRegret(spec, ins, nb, c.auctionOptions(true))
 				if err != nil {
@@ -199,13 +198,26 @@ func Arena(cfg Config, specs []core.MechanismSpec) (*ArenaResult, error) {
 	return res, nil
 }
 
+// probeFactors are the misreports every probed bid tries, as multiples
+// of its true cost.
+var probeFactors = []float64{0.5, 0.8, 1.2, 1.6, 2.5}
+
+// probeInstance draws one single-stage probe instance with bidsPerBidder
+// alternatives per bidder and returns it with its bidder count.
+func probeInstance(rng *workload.Rand, bidsPerBidder int) (*core.Instance, int) {
+	bidders := 8 + rng.Intn(8)
+	return workload.Instance(rng, workload.InstanceConfig{
+		Bidders: bidders, BidsPerBidder: bidsPerBidder,
+		DemandLo: 2, DemandHi: 8, UnitsLo: 1, UnitsHi: 3,
+	}), bidders
+}
+
 // probeRegret runs the misreport probe grid for one mechanism on one
-// instance: truthful clear, then every non-reserve bidder tries every
-// misreport factor. Infeasible clears count as zero-utility outcomes —
-// a mechanism that refuses to clear pays nobody.
-func probeRegret(spec core.MechanismSpec, ins *core.Instance, bidders int, opts core.Options) (arenaRegret, error) {
-	var reg arenaRegret
-	factors := []float64{0.5, 0.8, 1.2, 1.6, 2.5}
+// instance: truthful clear, then every bid except the platform's reserve
+// ladder tries every probe factor. Infeasible clears count as
+// zero-utility outcomes — a mechanism that refuses to clear pays nobody.
+func probeRegret(spec core.MechanismSpec, ins *core.Instance, bidders int, opts core.Options) (regret, error) {
+	var reg regret
 	truthful, err := core.RunMechanism(spec, ins, opts)
 	if err != nil && !errors.Is(err, core.ErrInfeasible) {
 		return reg, err
@@ -215,7 +227,7 @@ func probeRegret(spec core.MechanismSpec, ins *core.Instance, bidders int, opts 
 			continue // platform reserve ladder: not strategic
 		}
 		base := probeUtility(truthful, ins, target)
-		for _, f := range factors {
+		for _, f := range probeFactors {
 			dev := ins.Clone()
 			dev.Bids[target].Price = ins.Bids[target].TrueCost * f
 			out, err := core.RunMechanism(spec, dev, opts)

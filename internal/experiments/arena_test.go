@@ -17,7 +17,7 @@ func arenaConfig() Config {
 // attempts the same rounds, SSAM clears them all, and the truthful
 // mechanisms (SSAM, posted price) show zero regret on the probe grid.
 func TestArenaDefaultRace(t *testing.T) {
-	res, err := Arena(arenaConfig(), nil)
+	res, err := Arena(arenaConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +55,11 @@ func TestArenaDefaultRace(t *testing.T) {
 // TestArenaDeterministic: identical configs must render identically —
 // the arena rides the same seeded-trial machinery as every figure.
 func TestArenaDeterministic(t *testing.T) {
-	r1, err := Arena(arenaConfig(), nil)
+	r1, err := Arena(arenaConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Arena(arenaConfig(), nil)
+	r2, err := Arena(arenaConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,9 @@ func TestArenaDeterministic(t *testing.T) {
 
 // TestArenaRejectsBadSpec: unresolvable specs fail upfront, not per trial.
 func TestArenaRejectsBadSpec(t *testing.T) {
-	_, err := Arena(arenaConfig(), []core.MechanismSpec{{Name: "no-such-mechanism"}})
+	cfg := arenaConfig()
+	cfg.ArenaSpecs = []core.MechanismSpec{{Name: "no-such-mechanism"}}
+	_, err := Arena(cfg)
 	if err == nil {
 		t.Fatal("unknown mechanism spec must fail the arena upfront")
 	}

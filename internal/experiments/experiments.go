@@ -1,9 +1,10 @@
 // Package experiments reproduces every figure of the paper's evaluation
 // (§V, Figures 3-6): parameter sweeps over the number of microservices,
 // requests, rounds, and bids per bidder, with the mechanisms' social cost
-// and payments measured against offline optima. Each driver returns
-// metrics series that cmd/repro renders as tables/CSV and bench_test.go
-// wraps as benchmarks.
+// and payments measured against offline optima. Each driver returns a
+// Result that renders as a table and gives the series of its CSV file;
+// Experiments lists the drivers in the one order cmd/repro, the
+// benchmarks and the golden test iterate.
 //
 // Performance-ratio denominators use the exact branch-and-bound optimum
 // when it closes within the configured time budget and the LP-relaxation
@@ -32,9 +33,6 @@ type Config struct {
 	Trials int
 	// OptTimeLimit bounds each exact solve; zero means 2s.
 	OptTimeLimit time.Duration
-	// OptMaxNodes bounds each exact solve's node count; zero means the
-	// solver default.
-	OptMaxNodes int
 	// Quick trims sweeps for use inside testing.B loops: fewer sweep
 	// points and trials, smaller instances.
 	Quick bool
@@ -48,6 +46,9 @@ type Config struct {
 	// through, via core.MSOAConfig.Mechanism. The zero value is SSAM and
 	// reproduces the paper's figures bit-identically.
 	Mechanism core.MechanismSpec
+	// ArenaSpecs are the mechanisms Arena races; empty selects
+	// DefaultArenaSpecs.
+	ArenaSpecs []core.MechanismSpec
 	// TrialParallelism is the worker count of the sweep runner that fans
 	// (sweep point, trial) cells out across goroutines. Zero means
 	// GOMAXPROCS, 1 forces serial. Every trial samples from its own
@@ -88,7 +89,7 @@ func (c Config) withDefaults() Config {
 }
 
 func (c Config) optOptions() optimal.Options {
-	return optimal.Options{TimeLimit: c.OptTimeLimit, MaxNodes: c.OptMaxNodes}
+	return optimal.Options{TimeLimit: c.OptTimeLimit}
 }
 
 // auctionOptions builds the single-stage auction options every driver runs

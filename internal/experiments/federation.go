@@ -176,11 +176,16 @@ func federationMarkets(rng *workload.Rand, clouds int) []federation.CloudMarket 
 	return markets
 }
 
+// Curves returns the coverage, cost and borrowed-units series.
+func (r *FederationResult) Curves() []*metrics.Series {
+	return []*metrics.Series{r.Covered, r.Cost, r.Borrowed}
+}
+
 // Render formats the sweep.
 func (r *FederationResult) Render() string {
 	var b strings.Builder
 	b.WriteString("Extension: cross-cloud borrowing vs backhaul latency premium\n")
-	b.WriteString(metrics.Table("latency premium", r.Covered, r.Cost, r.Borrowed))
+	b.WriteString(metrics.Table("latency premium", r.Curves()...))
 	fmt.Fprintf(&b, "local-only coverage (no federation): %.2f\n", r.CoveredLocal)
 	return b.String()
 }

@@ -81,12 +81,16 @@ func Fig3a(cfg Config) (*Fig3aResult, error) {
 	return res, nil
 }
 
+// Curves returns the ratio and certified-bound series for J=1 and J=2.
+func (r *Fig3aResult) Curves() []*metrics.Series {
+	return []*metrics.Series{r.RatioByJ[1], r.RatioByJ[2], r.CertifiedByJ[1], r.CertifiedByJ[2]}
+}
+
 // Render formats the result as an aligned table.
 func (r *Fig3aResult) Render() string {
 	var b strings.Builder
 	b.WriteString("Figure 3(a): SSAM performance ratio vs number of microservices\n")
-	b.WriteString(metrics.Table("microservices",
-		r.RatioByJ[1], r.RatioByJ[2], r.CertifiedByJ[1], r.CertifiedByJ[2]))
+	b.WriteString(metrics.Table("microservices", r.Curves()...))
 	fmt.Fprintf(&b, "exact offline optima: %.0f%%\n", r.ExactFraction*100)
 	return b.String()
 }
@@ -170,14 +174,17 @@ func Fig3b(cfg Config) (*Fig3bResult, error) {
 	return res, nil
 }
 
+// Curves returns the three curves for 100, then 200 requests.
+func (r *Fig3bResult) Curves() []*metrics.Series {
+	s100, s200 := r.ByRequests[100], r.ByRequests[200]
+	return []*metrics.Series{s100.SocialCost, s100.Payment, s100.Optimal, s200.SocialCost, s200.Payment, s200.Optimal}
+}
+
 // Render formats the result as an aligned table.
 func (r *Fig3bResult) Render() string {
 	var b strings.Builder
 	b.WriteString("Figure 3(b): SSAM social cost, payment, optimal vs number of microservices\n")
-	s100, s200 := r.ByRequests[100], r.ByRequests[200]
-	b.WriteString(metrics.Table("microservices",
-		s100.SocialCost, s100.Payment, s100.Optimal,
-		s200.SocialCost, s200.Payment, s200.Optimal))
+	b.WriteString(metrics.Table("microservices", r.Curves()...))
 	fmt.Fprintf(&b, "exact offline optima: %.0f%%\n", r.ExactFraction*100)
 	return b.String()
 }

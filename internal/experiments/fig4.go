@@ -58,11 +58,14 @@ func Fig4a(cfg Config) (*Fig4aResult, error) {
 	return res, nil
 }
 
+// Curves returns the price and payment series per winner.
+func (r *Fig4aResult) Curves() []*metrics.Series { return []*metrics.Series{r.Price, r.Payment} }
+
 // Render formats the result as an aligned table.
 func (r *Fig4aResult) Render() string {
 	var b strings.Builder
 	b.WriteString("Figure 4(a): payment vs actual price per winning bid\n")
-	b.WriteString(metrics.Table("winner", r.Price, r.Payment))
+	b.WriteString(metrics.Table("winner", r.Curves()...))
 	fmt.Fprintf(&b, "individual-rationality violations: %d\n", r.Violations)
 	return b.String()
 }
@@ -119,11 +122,15 @@ func Fig4b(cfg Config) (*Fig4bResult, error) {
 	return res, nil
 }
 
+// Curves returns the running-time series for 100 and 200 requests.
+func (r *Fig4bResult) Curves() []*metrics.Series {
+	return []*metrics.Series{r.MillisByRequests[100], r.MillisByRequests[200]}
+}
+
 // Render formats the result as an aligned table.
 func (r *Fig4bResult) Render() string {
 	var b strings.Builder
 	b.WriteString("Figure 4(b): SSAM running time (ms) vs number of microservices\n")
-	b.WriteString(metrics.Table("microservices",
-		r.MillisByRequests[100], r.MillisByRequests[200]))
+	b.WriteString(metrics.Table("microservices", r.Curves()...))
 	return b.String()
 }

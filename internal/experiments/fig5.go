@@ -79,12 +79,16 @@ func Fig5a(cfg Config) (*Fig5aResult, error) {
 	return res, nil
 }
 
+// Curves returns the ratio series for 100 and 200 requests.
+func (r *Fig5aResult) Curves() []*metrics.Series {
+	return []*metrics.Series{r.RatioByRequests[100], r.RatioByRequests[200]}
+}
+
 // Render formats the result as an aligned table.
 func (r *Fig5aResult) Render() string {
 	var b strings.Builder
 	b.WriteString("Figure 5(a): MSOA performance ratio vs number of microservices\n")
-	b.WriteString(metrics.Table("microservices",
-		r.RatioByRequests[100], r.RatioByRequests[200]))
+	b.WriteString(metrics.Table("microservices", r.Curves()...))
 	fmt.Fprintf(&b, "infeasible rounds skipped: %d\n", r.InfeasibleRounds)
 	fmt.Fprintf(&b, "exact offline optima: %.0f%%\n", r.ExactFraction*100)
 	return b.String()
@@ -176,15 +180,19 @@ func Fig5b(cfg Config) (*Fig5bResult, error) {
 	return res, nil
 }
 
+// Curves returns the ratio series of MSOA, MSOA-DA, MSOA-RC and MSOA-OA.
+func (r *Fig5bResult) Curves() []*metrics.Series {
+	return []*metrics.Series{
+		r.RatioByVariant[core.VariantBase], r.RatioByVariant[core.VariantDA],
+		r.RatioByVariant[core.VariantRC], r.RatioByVariant[core.VariantOA],
+	}
+}
+
 // Render formats the result as an aligned table.
 func (r *Fig5bResult) Render() string {
 	var b strings.Builder
 	b.WriteString("Figure 5(b): MSOA variant performance ratio vs number of microservices\n")
-	b.WriteString(metrics.Table("microservices",
-		r.RatioByVariant[core.VariantBase],
-		r.RatioByVariant[core.VariantDA],
-		r.RatioByVariant[core.VariantRC],
-		r.RatioByVariant[core.VariantOA]))
+	b.WriteString(metrics.Table("microservices", r.Curves()...))
 	fmt.Fprintf(&b, "exact offline optima: %.0f%%\n", r.ExactFraction*100)
 	return b.String()
 }

@@ -73,11 +73,16 @@ func Fig6a(cfg Config) (*Fig6aResult, error) {
 	return res, nil
 }
 
+// Curves returns the ratio series for J=1, 2 and 4.
+func (r *Fig6aResult) Curves() []*metrics.Series {
+	return []*metrics.Series{r.RatioByJ[1], r.RatioByJ[2], r.RatioByJ[4]}
+}
+
 // Render formats the result as an aligned table.
 func (r *Fig6aResult) Render() string {
 	var b strings.Builder
 	b.WriteString("Figure 6(a): MSOA performance ratio vs rounds T, per bids-per-bidder J\n")
-	b.WriteString(metrics.Table("rounds", r.RatioByJ[1], r.RatioByJ[2], r.RatioByJ[4]))
+	b.WriteString(metrics.Table("rounds", r.Curves()...))
 	fmt.Fprintf(&b, "exact offline optima: %.0f%%\n", r.ExactFraction*100)
 	return b.String()
 }
@@ -163,14 +168,17 @@ func Fig6b(cfg Config) (*Fig6bResult, error) {
 	return res, nil
 }
 
+// Curves returns the three curves for 100, then 200 requests.
+func (r *Fig6bResult) Curves() []*metrics.Series {
+	s100, s200 := r.ByRequests[100], r.ByRequests[200]
+	return []*metrics.Series{s100.SocialCost, s100.Payment, s100.Optimal, s200.SocialCost, s200.Payment, s200.Optimal}
+}
+
 // Render formats the result as an aligned table.
 func (r *Fig6bResult) Render() string {
 	var b strings.Builder
 	b.WriteString("Figure 6(b): MSOA social cost, payment, optimal vs number of microservices\n")
-	s100, s200 := r.ByRequests[100], r.ByRequests[200]
-	b.WriteString(metrics.Table("microservices",
-		s100.SocialCost, s100.Payment, s100.Optimal,
-		s200.SocialCost, s200.Payment, s200.Optimal))
+	b.WriteString(metrics.Table("microservices", r.Curves()...))
 	fmt.Fprintf(&b, "exact offline optima: %.0f%%\n", r.ExactFraction*100)
 	return b.String()
 }

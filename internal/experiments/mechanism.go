@@ -153,64 +153,31 @@ func TruthfulnessSweep(cfg Config) (*TruthfulnessSweepResult, error) {
 	if c.Quick {
 		instances = 8
 	}
-	factors := []float64{0.5, 0.8, 1.2, 1.6, 2.5}
-	type cell struct {
-		deviations, single, multi int
-		maxGain                   float64
-	}
-	cells, err := runTrials(c, "truthfulness", instances, func(rng *workload.Rand, _ int) (cell, error) {
-		var v cell
-		for _, j := range []int{1, 2} {
-			ins := workload.Instance(rng, workload.InstanceConfig{
-				Bidders: 8 + rng.Intn(8), BidsPerBidder: j,
-				DemandLo: 2, DemandHi: 8, UnitsLo: 1, UnitsHi: 3,
-			})
-			truthful, err := core.SSAM(ins, c.auctionOptions(true))
+	// One J=1 and one J=2 instance per trial, probed as the arena
+	// probes every competitor.
+	cells, err := runTrials(c, "truthfulness", instances, func(rng *workload.Rand, _ int) ([2]regret, error) {
+		var regs [2]regret
+		for i := range regs {
+			ins, bidders := probeInstance(rng, i+1)
+			reg, err := probeRegret(core.MechanismSpec{Name: core.NameSSAM}, ins, bidders, c.auctionOptions(true))
 			if err != nil {
-				return cell{}, fmt.Errorf("experiments: truthfulness sweep: %w", err)
+				return regs, fmt.Errorf("experiments: truthfulness sweep: %w", err)
 			}
-			reserveIdx := len(ins.Bids) - 1 // platform reserve: not strategic
-			for target := 0; target < reserveIdx; target++ {
-				base := truthful.Utility(ins, target)
-				for _, f := range factors {
-					dev := ins.Clone()
-					dev.Bids[target].Price = ins.Bids[target].TrueCost * f
-					out, err := core.SSAM(dev, c.auctionOptions(true))
-					if err != nil {
-						return cell{}, fmt.Errorf("experiments: truthfulness sweep deviation: %w", err)
-					}
-					v.deviations++
-					utility := 0.0
-					if out.Won(target) {
-						utility = out.Payments[target] - ins.Bids[target].TrueCost
-					}
-					if utility > base+1e-6 {
-						if j == 1 {
-							v.single++
-						} else {
-							v.multi++
-							if gain := utility - base; gain > v.maxGain {
-								v.maxGain = gain
-							}
-						}
-					}
-				}
-			}
+			regs[i] = reg
 		}
-		return v, nil
+		return regs, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
 	res := &TruthfulnessSweepResult{}
-	for _, v := range cells {
-		res.Deviations += v.deviations
-		res.ViolationsSingle += v.single
-		res.ViolationsMulti += v.multi
-		if v.maxGain > res.MaxGainMulti {
-			res.MaxGainMulti = v.maxGain
-		}
+	for _, regs := range cells {
+		single, multi := regs[0], regs[1]
+		res.Deviations += single.probes + multi.probes
+		res.ViolationsSingle += single.profitable
+		res.ViolationsMulti += multi.profitable
+		res.MaxGainMulti = max(res.MaxGainMulti, multi.maxGain)
 	}
 	return res, nil
 }

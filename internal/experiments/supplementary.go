@@ -108,11 +108,16 @@ func WinningStats(cfg Config) (*WinningStatsResult, error) {
 	return res, nil
 }
 
+// Curves returns the per-bid and per-bidder win-percentage series.
+func (r *WinningStatsResult) Curves() []*metrics.Series {
+	return []*metrics.Series{r.WinPercent, r.BidderWinPercent}
+}
+
 // Render formats the result.
 func (r *WinningStatsResult) Render() string {
 	var b strings.Builder
 	b.WriteString("Supplementary (§V): winning-bid percentage and price distribution\n")
-	b.WriteString(metrics.Table("microservices", r.WinPercent, r.BidderWinPercent))
+	b.WriteString(metrics.Table("microservices", r.Curves()...))
 	fmt.Fprintf(&b, "winning price quantiles: p25=%.2f median=%.2f p75=%.2f\n",
 		r.WinningPrices.Quantile(0.25), r.WinningPrices.Median(), r.WinningPrices.Quantile(0.75))
 	b.WriteString("winning price distribution:\n")

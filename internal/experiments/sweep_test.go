@@ -5,69 +5,9 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"edgeauction/internal/workload"
 )
-
-// TestFiguresByteIdenticalAcrossTrialParallelism is the determinism
-// contract of the sweep runner: every figure driver renders byte-identical
-// output at TrialParallelism 1 (serial) and 8 (fan-out), because each cell
-// samples from an RNG stream derived purely from its grid coordinate and
-// reduces run in deterministic order. Fig4b is excluded by design: it
-// measures physical wall-clock time, which no scheduling discipline can
-// make bit-reproducible.
-func TestFiguresByteIdenticalAcrossTrialParallelism(t *testing.T) {
-	type renderable interface{ Render() string }
-	drivers := []struct {
-		name string
-		run  func(Config) (renderable, error)
-	}{
-		{"fig3a", func(c Config) (renderable, error) { return Fig3a(c) }},
-		{"fig3b", func(c Config) (renderable, error) { return Fig3b(c) }},
-		{"fig4a", func(c Config) (renderable, error) { return Fig4a(c) }},
-		{"fig5a", func(c Config) (renderable, error) { return Fig5a(c) }},
-		{"fig5b", func(c Config) (renderable, error) { return Fig5b(c) }},
-		{"fig6a", func(c Config) (renderable, error) { return Fig6a(c) }},
-		{"fig6b", func(c Config) (renderable, error) { return Fig6b(c) }},
-		{"winstats", func(c Config) (renderable, error) { return WinningStats(c) }},
-		{"ablation-scaledprice", func(c Config) (renderable, error) { return AblationScaledPrice(c) }},
-		{"ablation-payments", func(c Config) (renderable, error) { return AblationPayments(c) }},
-		{"ablation-greedy", func(c Config) (renderable, error) { return AblationGreedyMetric(c) }},
-		{"ablation-fixedprice", func(c Config) (renderable, error) { return AblationFixedPrice(c) }},
-		{"ablation-capacity", func(c Config) (renderable, error) { return AblationCapacity(c) }},
-		{"truthfulness", func(c Config) (renderable, error) { return TruthfulnessSweep(c) }},
-		{"federation", func(c Config) (renderable, error) { return Federation(c) }},
-		{"demand-ablation", func(c Config) (renderable, error) { return DemandAblation(c) }},
-		{"workload-overload", func(c Config) (renderable, error) { return WorkloadOverload(c) }},
-		{"workload-spikes", func(c Config) (renderable, error) { return WorkloadSpikes(c) }},
-		{"workload-frontier", func(c Config) (renderable, error) { return WorkloadFrontier(c) }},
-	}
-	for _, d := range drivers {
-		d := d
-		t.Run(d.name, func(t *testing.T) {
-			t.Parallel()
-			var got [2]string
-			for i, par := range []int{1, 8} {
-				// The exact-solver budget must never bind: a solve that
-				// times out falls back to the LP bound, which would make the
-				// render depend on machine load (e.g. the -race slowdown).
-				// Quick instances solve in milliseconds, so an hour-scale
-				// limit keeps every cell a pure function of its seed.
-				res, err := d.run(Config{Seed: 7, Quick: true, TrialParallelism: par,
-					OptTimeLimit: time.Hour})
-				if err != nil {
-					t.Fatalf("TrialParallelism=%d: %v", par, err)
-				}
-				got[i] = res.Render()
-			}
-			if got[0] != got[1] {
-				t.Fatalf("render differs between TrialParallelism 1 and 8:\n--- serial ---\n%s\n--- parallel ---\n%s",
-					got[0], got[1])
-			}
-		})
-	}
-}
 
 // TestRunSweepMatchesSerial checks the grid values themselves (not just a
 // rendering) are identical at every parallelism level, including the

@@ -267,12 +267,16 @@ func WorkloadOverload(cfg Config) (*WorkloadOverloadResult, error) {
 	return res, nil
 }
 
+// Curves returns the overload sweep's series.
+func (r *WorkloadOverloadResult) Curves() []*metrics.Series {
+	return []*metrics.Series{r.HotBacklog, r.HotUtil, r.CallerAlloc, r.CallerWait, r.Cost}
+}
+
 // Render formats the result as an aligned table.
 func (r *WorkloadOverloadResult) Render() string {
 	var b strings.Builder
 	b.WriteString("Workload: cascading overload — hot-service starvation propagating to callers' fair shares\n")
-	b.WriteString(metrics.Table("hot work x",
-		r.HotBacklog, r.HotUtil, r.CallerAlloc, r.CallerWait, r.Cost))
+	b.WriteString(metrics.Table("hot work x", r.Curves()...))
 	fmt.Fprintf(&b, "infeasible rounds skipped: %d\n", r.InfeasibleRounds)
 	return b.String()
 }
@@ -364,12 +368,16 @@ func WorkloadSpikes(cfg Config) (*WorkloadSpikesResult, error) {
 	return res, nil
 }
 
+// Curves returns the spike sweep's series.
+func (r *WorkloadSpikesResult) Curves() []*metrics.Series {
+	return []*metrics.Series{r.NeedyPeak, r.ReserveUnits, r.Cost, r.SLA}
+}
+
 // Render formats the result as an aligned table.
 func (r *WorkloadSpikesResult) Render() string {
 	var b strings.Builder
 	b.WriteString("Workload: correlated demand spikes — flash-crowd height vs market stress\n")
-	b.WriteString(metrics.Table("flash height",
-		r.NeedyPeak, r.ReserveUnits, r.Cost, r.SLA))
+	b.WriteString(metrics.Table("flash height", r.Curves()...))
 	fmt.Fprintf(&b, "infeasible rounds skipped: %d\n", r.InfeasibleRounds)
 	return b.String()
 }
@@ -462,12 +470,16 @@ func WorkloadFrontier(cfg Config) (*WorkloadFrontierResult, error) {
 	return res, nil
 }
 
+// Curves returns the frontier sweep's series.
+func (r *WorkloadFrontierResult) Curves() []*metrics.Series {
+	return []*metrics.Series{r.SLA, r.ReserveShare, r.MeanWait, r.Cost}
+}
+
 // Render formats the result as an aligned table.
 func (r *WorkloadFrontierResult) Render() string {
 	var b strings.Builder
 	b.WriteString("Workload: capacity frontier — per-cloud capacity vs queueing and reserve fallback\n")
-	b.WriteString(metrics.Table("cloud capacity",
-		r.SLA, r.ReserveShare, r.MeanWait, r.Cost))
+	b.WriteString(metrics.Table("cloud capacity", r.Curves()...))
 	fmt.Fprintf(&b, "infeasible rounds skipped: %d\n", r.InfeasibleRounds)
 	return b.String()
 }
