@@ -34,15 +34,17 @@ import (
 
 	"edgeauction/internal/chaos"
 	"edgeauction/internal/core"
+	"edgeauction/internal/obs"
 )
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("chaos", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	prof := obs.ProfileFlags(fs)
 	var (
 		scenario      = fs.String("scenario", "", "builtin scenario name or path to a JSON scenario file")
 		list          = fs.Bool("list", false, "list builtin scenarios and exit")
@@ -63,6 +65,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
+	if err := prof.Start(); err != nil {
+		fmt.Fprintln(stderr, "chaos:", err)
+		return 1
+	}
+	defer func() {
+		if err := prof.Stop(); err != nil {
+			fmt.Fprintln(stderr, "chaos:", err)
+			if code == 0 {
+				code = 1
+			}
+		}
+	}()
 
 	if *list {
 		for _, name := range chaos.BuiltinNames() {

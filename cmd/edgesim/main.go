@@ -22,6 +22,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -46,8 +47,9 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("edgesim", flag.ContinueOnError)
+	prof := obs.ProfileFlags(fs)
 	services := fs.Int("services", 30, "number of microservices")
 	rounds := fs.Int("rounds", 10, "rounds to simulate")
 	seed := fs.Int64("seed", 7, "simulation seed")
@@ -65,6 +67,10 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := prof.Start(); err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, prof.Stop()) }()
 	var mechSpec core.MechanismSpec
 	if *mechanism != "" {
 		spec, err := core.ParseMechanismSpec(*mechanism)

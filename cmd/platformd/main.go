@@ -41,8 +41,9 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("platformd", flag.ContinueOnError)
+	prof := obs.ProfileFlags(fs)
 	listen := fs.String("listen", "127.0.0.1:7070", "listen address")
 	period := fs.Duration("period", 2*time.Second, "time between auction rounds")
 	rounds := fs.Int("rounds", 0, "rounds to run (0 = until interrupted)")
@@ -75,6 +76,10 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := prof.Start(); err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, prof.Stop()) }()
 	if *needyHi < *needyLo || *demandHi < *demandLo {
 		return fmt.Errorf("invalid demand ranges")
 	}

@@ -13,6 +13,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -34,8 +35,9 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("repro", flag.ContinueOnError)
+	prof := obs.ProfileFlags(fs)
 	figFlag := fs.String("fig", "all", "experiment to regenerate: "+selectorList())
 	seed := fs.Int64("seed", 1, "workload seed")
 	trials := fs.Int("trials", 5, "instances averaged per sweep point")
@@ -55,6 +57,10 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := prof.Start(); err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, prof.Stop()) }()
 	if *gomaxprocs > 0 {
 		runtime.GOMAXPROCS(*gomaxprocs)
 	}

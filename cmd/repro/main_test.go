@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bytes"
+	"compress/gzip"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -73,5 +76,33 @@ func TestRunWritesCSV(t *testing.T) {
 func TestRunBadFlag(t *testing.T) {
 	if err := run([]string{"-definitely-not-a-flag"}); err == nil {
 		t.Fatal("want flag parse error")
+	}
+}
+
+// TestRunWritesProfiles checks that -cpuprofile and -memprofile leave
+// non-empty runtime/pprof profiles behind: both are gzip-compressed
+// protocol buffers, so each file must start with the gzip magic bytes.
+func TestRunWritesProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu := filepath.Join(dir, "cpu.pprof")
+	mem := filepath.Join(dir, "mem.pprof")
+	if err := run([]string{"-fig", "3a", "-quick", "-cpuprofile", cpu, "-memprofile", mem}); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{cpu, mem} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
+			t.Fatalf("%s: %d bytes without the gzip header of a pprof profile", filepath.Base(path), len(data))
+		}
+		zr, err := gzip.NewReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s: %v", filepath.Base(path), err)
+		}
+		if body, err := io.ReadAll(zr); err != nil || len(body) == 0 {
+			t.Fatalf("%s: profile body of %d bytes, err %v", filepath.Base(path), len(body), err)
+		}
 	}
 }

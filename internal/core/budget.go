@@ -63,6 +63,10 @@ func BudgetedSSAM(ins *Instance, budget float64, opts Options) (*BudgetedOutcome
 	if err := kn.build(ins, scaled, opts); err != nil {
 		return nil, err
 	}
+	if opts.payment() == CriticalValue {
+		// The first replay follows at once: nothing to overlap the sort with.
+		kn.buildOrder(false)
+	}
 	out := &BudgetedOutcome{
 		Outcome: Outcome{Payments: make(map[int]float64)},
 		Budget:  budget,

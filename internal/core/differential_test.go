@@ -142,6 +142,51 @@ func saturationHeavyInstance(rng *rand.Rand, bidders, needy, bidsPer int) *Insta
 	return ins
 }
 
+// equalScoreInstance makes many bids share one θ=0 score across bidder
+// groups: every bid has the same price and covers the same number of needy
+// services with the same units, no more than any demand, so every bid's
+// θ=0 marginal is equal too. A second price class adds a second tie block.
+// The bids are shuffled so each tie block interleaves bidder groups over
+// bid indices. The payment replays' θ=0 candidate order then rests on the
+// bid-index tie-break alone within each block.
+func equalScoreInstance(rng *rand.Rand, bidders, needy, bidsPer int) *Instance {
+	ins := &Instance{Demand: make([]int, needy)}
+	units := 1 + rng.Intn(2)
+	for k := range ins.Demand {
+		ins.Demand[k] = units + rng.Intn(3)
+	}
+	width := 1 + rng.Intn(needy)
+	for b := 1; b <= bidders; b++ {
+		for j := 0; j < bidsPer; j++ {
+			covers := rng.Perm(needy)[:width]
+			sortInts(covers)
+			p := 12.0
+			if rng.Intn(4) == 0 {
+				p = 18
+			}
+			ins.Bids = append(ins.Bids, Bid{
+				Bidder: b, Alt: j, Price: p, TrueCost: p,
+				Covers: covers, Units: units,
+			})
+		}
+	}
+	rng.Shuffle(len(ins.Bids), func(i, j int) { ins.Bids[i], ins.Bids[j] = ins.Bids[j], ins.Bids[i] })
+	all := make([]int, needy)
+	maxD := 0
+	for k, d := range ins.Demand {
+		all[k] = k
+		if d > maxD {
+			maxD = d
+		}
+	}
+	ins.Bids = append(ins.Bids, Bid{
+		Bidder: bidders + 1, Price: 30 * float64(ins.TotalDemand()),
+		TrueCost: 30 * float64(ins.TotalDemand()),
+		Covers:   all, Units: maxD,
+	})
+	return ins
+}
+
 // assertDifferential runs both paths on (ins, scaled, opts) and fails the
 // test unless errors and outcomes agree exactly.
 func assertDifferential(t *testing.T, ins *Instance, scaled []float64, opts Options, label string) {
@@ -216,6 +261,29 @@ func TestDifferentialSaturationHeavy(t *testing.T) {
 	}
 }
 
+// TestDifferentialEqualScores sweeps instances whose bids share one θ=0
+// score across bidder groups over the full option grid (both metrics) in
+// both price domains: the payment replays' θ=0 order is all ties, so any
+// slip in its bid-index tie-break changes a winner or a payment.
+func TestDifferentialEqualScores(t *testing.T) {
+	grid := diffOptionGrid()
+	rng := rand.New(rand.NewSource(45))
+	for trial := 0; trial < 16; trial++ {
+		ins := equalScoreInstance(rng, 4+rng.Intn(12), 2+rng.Intn(5), 1+rng.Intn(3))
+		raw := make([]float64, len(ins.Bids))
+		psi := make([]float64, len(ins.Bids))
+		factor := 1 + rng.Float64()
+		for i, b := range ins.Bids {
+			raw[i] = b.Price
+			psi[i] = b.Price * factor
+		}
+		for oi, opts := range grid {
+			assertDifferential(t, ins, raw, opts, labelFor(trial, oi, "eq-raw"))
+			assertDifferential(t, ins, psi, opts, labelFor(trial, oi, "eq-psi"))
+		}
+	}
+}
+
 func labelFor(trial, opt int, domain string) string {
 	return "trial=" + itoa(trial) + " opt=" + itoa(opt) + " domain=" + domain
 }
@@ -248,49 +316,61 @@ func TestDifferentialSSAMInfeasible(t *testing.T) {
 	assertDifferential(t, ins, scaled, Options{}, "infeasible")
 }
 
+// assertBudgetedDifferential runs the reference and kernel BudgetedSSAM on
+// (ins, budget, opts) and fails the test unless errors, outcomes and the
+// budget accounting agree exactly.
+func assertBudgetedDifferential(t *testing.T, ins *Instance, budget float64, opts Options, label string) {
+	t.Helper()
+	want, wantErr := referenceBudgetedSSAM(ins, budget, opts)
+	got, gotErr := BudgetedSSAM(ins, budget, opts)
+	if (wantErr == nil) != (gotErr == nil) {
+		t.Fatalf("%s budget %v: error divergence: reference=%v kernel=%v", label, budget, wantErr, gotErr)
+	}
+	if wantErr != nil {
+		return
+	}
+	if !want.Outcome.Equal(&got.Outcome) {
+		t.Fatalf("%s budget %v: outcome divergence:\nreference: %+v\nkernel:    %+v", label, budget, want.Outcome, got.Outcome)
+	}
+	if want.BudgetSpent != got.BudgetSpent || want.UncoveredDemand != got.UncoveredDemand {
+		t.Fatalf("%s budget %v: accounting divergence: reference spent=%v uncovered=%d, kernel spent=%v uncovered=%d",
+			label, budget, want.BudgetSpent, want.UncoveredDemand, got.BudgetSpent, got.UncoveredDemand)
+	}
+	if len(want.RejectedByBudget) != len(got.RejectedByBudget) {
+		t.Fatalf("%s budget %v: rejected divergence: %v vs %v", label, budget, want.RejectedByBudget, got.RejectedByBudget)
+	}
+	for i := range want.RejectedByBudget {
+		if want.RejectedByBudget[i] != got.RejectedByBudget[i] {
+			t.Fatalf("%s budget %v: rejected divergence: %v vs %v", label, budget, want.RejectedByBudget, got.RejectedByBudget)
+		}
+	}
+}
+
 // TestDifferentialBudgetedSSAM holds BudgetedSSAM (now kernel-backed) to
 // the seed behavior across budgets that never bind, bind mid-run, and
-// afford nothing.
+// afford nothing, on tie-prone and equal-score instances.
 func TestDifferentialBudgetedSSAM(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	for trial := 0; trial < 6; trial++ {
-		ins := tieProneInstance(rng, 4+rng.Intn(6), 2+rng.Intn(3), 1+rng.Intn(2))
+	for trial := 0; trial < 10; trial++ {
+		var ins *Instance
+		if trial < 6 {
+			ins = tieProneInstance(rng, 4+rng.Intn(6), 2+rng.Intn(3), 1+rng.Intn(2))
+		} else {
+			ins = equalScoreInstance(rng, 4+rng.Intn(8), 2+rng.Intn(4), 1+rng.Intn(3))
+		}
 		full, err := referenceSSAM(ins, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: reference full run: %v", trial, err)
 		}
 		total := full.TotalPayment()
 		for _, frac := range []float64{0, 0.3, 0.7, 1, 2} {
-			budget := total * frac
 			for _, opts := range []Options{
 				{},
 				{Metric: LowestPrice},
 				{Payment: FirstPrice},
 				{ReserveSet: true, Reserve: 0},
 			} {
-				want, wantErr := referenceBudgetedSSAM(ins, budget, opts)
-				got, gotErr := BudgetedSSAM(ins, budget, opts)
-				if (wantErr == nil) != (gotErr == nil) {
-					t.Fatalf("trial %d budget %v: error divergence: reference=%v kernel=%v", trial, budget, wantErr, gotErr)
-				}
-				if wantErr != nil {
-					continue
-				}
-				if !want.Outcome.Equal(&got.Outcome) {
-					t.Fatalf("trial %d budget %v: outcome divergence:\nreference: %+v\nkernel:    %+v", trial, budget, want.Outcome, got.Outcome)
-				}
-				if want.BudgetSpent != got.BudgetSpent || want.UncoveredDemand != got.UncoveredDemand {
-					t.Fatalf("trial %d budget %v: accounting divergence: reference spent=%v uncovered=%d, kernel spent=%v uncovered=%d",
-						trial, budget, want.BudgetSpent, want.UncoveredDemand, got.BudgetSpent, got.UncoveredDemand)
-				}
-				if len(want.RejectedByBudget) != len(got.RejectedByBudget) {
-					t.Fatalf("trial %d budget %v: rejected divergence: %v vs %v", trial, budget, want.RejectedByBudget, got.RejectedByBudget)
-				}
-				for i := range want.RejectedByBudget {
-					if want.RejectedByBudget[i] != got.RejectedByBudget[i] {
-						t.Fatalf("trial %d budget %v: rejected divergence: %v vs %v", trial, budget, want.RejectedByBudget, got.RejectedByBudget)
-					}
-				}
+				assertBudgetedDifferential(t, ins, total*frac, opts, "trial "+itoa(trial))
 			}
 		}
 	}
@@ -311,6 +391,16 @@ func FuzzSSAMDifferential(f *testing.F) {
 	f.Add(int64(6), uint8(16), uint8(3), uint8(2), uint8(0x80))
 	f.Add(int64(7), uint8(23), uint8(2), uint8(3), uint8(0xA4))
 	f.Add(int64(8), uint8(10), uint8(7), uint8(1), uint8(0xD1))
+	// Equal-score seeds (bidsPer&0xA0 == 0xA0, a pattern no corpus file
+	// under testdata sets, so each of those still builds the instance it
+	// always built): one θ=0 score shared across bidder groups, under both
+	// metrics, critical-value payments and, with bidsPer&64, a binding
+	// budget.
+	f.Add(int64(9), uint8(18), uint8(4), uint8(0xA2), uint8(0x00))
+	f.Add(int64(10), uint8(22), uint8(6), uint8(0xA1), uint8(0x24))
+	f.Add(int64(11), uint8(15), uint8(3), uint8(0xE2), uint8(0x41))
+	f.Add(int64(12), uint8(9), uint8(5), uint8(0xE0), uint8(0x06))
+	f.Add(int64(13), uint8(20), uint8(2), uint8(0x40), uint8(0x05))
 	f.Fuzz(func(t *testing.T, seed int64, bidders, needy, bidsPer, optBits uint8) {
 		nb := int(bidders)%24 + 1
 		nk := int(needy)%8 + 1
@@ -318,6 +408,8 @@ func FuzzSSAMDifferential(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		var ins *Instance
 		switch {
+		case bidsPer&0xA0 == 0xA0:
+			ins = equalScoreInstance(rng, nb, nk, bp)
 		case optBits&128 != 0:
 			ins = saturationHeavyInstance(rng, nb, nk, bp)
 		case seed%2 == 0:
@@ -352,6 +444,17 @@ func FuzzSSAMDifferential(f *testing.F) {
 			scaled[i] = b.Price * factor
 		}
 		assertDifferential(t, ins, scaled, opts, "fuzz")
+		if bidsPer&64 != 0 {
+			// Budgeted path: the from-scratch replays pull from the same
+			// θ=0 order. Half the full run's payments makes the budget bind.
+			full, err := referenceSSAM(ins, Options{Metric: opts.Metric})
+			if err != nil {
+				t.Fatalf("reference full run: %v", err)
+			}
+			budgeted := opts
+			budgeted.Payment = CriticalValue
+			assertBudgetedDifferential(t, ins, full.TotalPayment()/2, budgeted, "fuzz budgeted")
+		}
 	})
 }
 

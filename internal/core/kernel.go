@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -51,7 +52,15 @@ import (
 //     order-independent, so prefix-max + suffix-max equals the full
 //     replay's max bit for bit. Pivotal winners (counterfactual arg-min
 //     exhausted) can only surface in the suffix — the prefix replays
-//     selections that actually happened.
+//     selections that actually happened. The suffix replays share one
+//     candidate order built once per run: every bid live at θ=0, sorted by
+//     its θ=0 (score, bid index) — concurrently with selection when the
+//     replays fan out. A score only rises as θ grows, so that
+//     key lower-bounds the bid at every checkpoint and every later
+//     counterfactual state; each replay pulls from the order lazily into a
+//     small heap of its own and stops pulling once its fresh root beats the
+//     next key in the order (DESIGN.md §7), so it scores only the bids it
+//     pulls.
 //
 // The kernel operates on int32 state for cache density; build rejects the
 // (unrealistic) instances whose demands overflow that domain instead of
@@ -66,6 +75,13 @@ import (
 // implicitly, and the differential fuzz gate holds every path to it.
 func betterScore(s1 float64, b1 int32, s2 float64, b2 int32) bool {
 	return s1 < s2 || (s1 == s2 && b1 < b2)
+}
+
+// scoredBid is one entry of the kernel's θ=0 candidate order: bid b with
+// its exact score at θ=0, the lower bound of its score at any later state.
+type scoredBid struct {
+	key float64
+	b   int32
 }
 
 // candSet is a compact candidate list with O(1) swap-delete membership:
@@ -151,10 +167,17 @@ type kernel struct {
 	incBid   []int32
 
 	// Main-run lazy-rescore priority structure over (score, bid index);
-	// see lazyheap.go for the staleness/exactness invariants. Each payment
-	// replay seeds its own lazyHeap in its replayScratch from the same
-	// immutable flat view.
+	// see lazyheap.go for the staleness/exactness invariants.
 	lh lazyHeap
+
+	// order holds every bid live at θ=0 with its exact θ=0 score, sorted
+	// by (score, bid index) under betterScore (CriticalValue payments
+	// only; empty otherwise). Built once per run from the main heap's
+	// seed (buildOrder), it is read-only afterwards and shared by every
+	// payment replay, each of which pulls from it through its own cursor.
+	// sorting tracks a sort that overlaps the selection run.
+	order   []scoredBid
+	sorting sync.WaitGroup
 
 	// Main-run mutable state.
 	theta       []int32 // θ_k, capped at demand[k]
@@ -316,7 +339,42 @@ func (kn *kernel) build(ins *Instance, scaled []float64, opts Options) error {
 	kn.ckDeficit = kn.ckDeficit[:0]
 	kn.ckScore = kn.ckScore[:0]
 	kn.lh.seed(kn, kn.theta, &kn.cand)
+	kn.order = kn.order[:0]
 	return nil
+}
+
+// buildOrder fills kn.order from the main heap's fresh seed — exactly the
+// bids live at θ=0, with their exact θ=0 scores — and sorts it under
+// betterScore. It must run right after build, before selection moves the
+// heap. With overlap set the sort runs on its own goroutine: selection
+// never reads kn.order, so a payment phase that fans out does not wait on
+// the sort serially. computePayments joins it (kn.sorting) before the
+// first replay, and release joins it too, so a failed selection never
+// pools a kernel whose order is still being sorted.
+func (kn *kernel) buildOrder(overlap bool) {
+	for _, b := range kn.lh.heap {
+		kn.order = append(kn.order, scoredBid{kn.lh.key[b], b})
+	}
+	if !overlap {
+		sortOrder(kn.order)
+		return
+	}
+	order := kn.order
+	kn.sorting.Add(1)
+	go func() {
+		defer kn.sorting.Done()
+		sortOrder(order)
+	}()
+}
+
+// sortOrder sorts a candidate order by (θ=0 score, bid index).
+func sortOrder(order []scoredBid) {
+	slices.SortFunc(order, func(x, y scoredBid) int {
+		if betterScore(x.key, x.b, y.key, y.b) {
+			return -1
+		}
+		return 1 // bid indices are distinct: no two entries tie
+	})
 }
 
 // scoreOf is the greedy metric evaluated exactly as the reference does:
@@ -374,8 +432,10 @@ func (kn *kernel) applyDirty(b int32) {
 }
 
 // release drops the borrowed scaled-price slice and returns the kernel to
-// the pool. All payment workers must have been joined by the caller.
+// the pool. All payment workers must have been joined by the caller; an
+// overlapping sort of the candidate order is joined here.
 func (kn *kernel) release() {
+	kn.sorting.Wait()
 	kn.scaled = nil
 	kn.tracer = nil
 	kernelPool.Put(kn)
@@ -514,66 +574,90 @@ func (kn *kernel) selectWinners(ins *Instance, opts Options, out *Outcome, cert 
 }
 
 // replayScratch is the reusable per-replay mutable state of one
-// counterfactual payment run: θ/deficit/candidate set plus the replay's own
-// lazy-rescore heap, seeded from the loaded checkpoint — a counterfactual
-// replay is just another greedy run whose θ only grows, so the same
-// lazy-greedy exactness argument applies from its starting state. Pooled so
-// neither the serial nor the parallel payment path allocates per winner.
+// counterfactual payment run: θ/deficit, the replay's cursor into the
+// kernel's shared θ=0 candidate order, per-group ban stamps, and the
+// replay's own lazy-rescore heap over the bids it has pulled — a
+// counterfactual replay is just another greedy run whose θ only grows, so
+// the same lazy-greedy exactness argument applies from its starting state.
+// Pooled so neither the serial nor the parallel payment path allocates per
+// winner, and nothing in it is reset in O(bids) per replay.
 type replayScratch struct {
 	theta   []int32
 	deficit int
-	cand    candSet
+	s       int32   // checkpoint the replay starts from; -1 from scratch
+	next    int     // cursor: kn.order[:next] has been pulled
+	gen     int32   // this replay's stamp in banned
+	banned  []int32 // per bidder group: == gen once banned in this replay
 	lh      lazyHeap
 }
 
 var replayScratchPool = sync.Pool{New: func() any { return new(replayScratch) }}
 
-// loadCheckpoint initializes rs from main-run checkpoint s with bidder
-// group ban excluded from the candidate set, then seeds the replay's heap
-// with exact scores at the checkpoint θ. The checkpoint's set may retain
-// bids that went dead before s but were never surfaced by the main run's
-// lazy discovery; the seed pass prunes them here, exactly where the old
-// full-scan replay pruned them on its first iteration (DESIGN.md §11).
-// The set is loaded in ascending bid order rather than the main run's
-// swap-delete order; the heap orders by (key, bid index), a total order,
-// so the seeding order cannot change any pop.
-func (rs *replayScratch) loadCheckpoint(kn *kernel, s int, ban int32) {
-	rs.theta = append(rs.theta[:0], kn.ckTheta[s*kn.nk:(s+1)*kn.nk]...)
-	rs.deficit = kn.ckDeficit[s]
-	rs.loadCands(kn, int32(s), ban)
-	rs.lh.seed(kn, rs.theta, &rs.cand)
+// load initializes rs for a replay with bidder group ban excluded, from
+// main-run checkpoint s, or from the blank pre-auction state (θ ≡ 0, every
+// bid live) when s < 0 — the from-scratch replay BudgetedSSAM uses, whose
+// selection path diverges from plain SSAM once the budget binds and so
+// cannot reuse the truthful run's checkpoints. Nothing is scored here: the
+// replay pulls candidates from kn.order on demand (popBest), skipping the
+// bids outside checkpoint s's set (until[b] ≤ s) and the banned groups.
+func (rs *replayScratch) load(kn *kernel, s int, ban int32) {
+	if s < 0 {
+		rs.theta = resizeInt32(rs.theta, kn.nk)
+		clear(rs.theta)
+		rs.deficit = kn.totalDemand
+	} else {
+		rs.theta = append(rs.theta[:0], kn.ckTheta[s*kn.nk:(s+1)*kn.nk]...)
+		rs.deficit = kn.ckDeficit[s]
+	}
+	rs.s = int32(s)
+	rs.next = 0
+	rs.banned = resizeInt32(rs.banned, len(kn.groupStart)-1)
+	rs.gen++
+	if rs.gen <= 0 { // wrapped: forget every stamp, including past len
+		clear(rs.banned[:cap(rs.banned)])
+		rs.gen = 1
+	}
+	rs.banned[ban] = rs.gen
+	rs.lh.reset(kn.nb)
 }
 
-// loadInitial initializes rs to the blank pre-auction state (θ ≡ 0, all
-// bids live) with bidder group ban excluded — the from-scratch replay used
-// by BudgetedSSAM, whose selection path diverges from plain SSAM once the
-// budget binds and therefore cannot reuse the truthful run's checkpoints.
-func (rs *replayScratch) loadInitial(kn *kernel, ban int32) {
-	rs.theta = resizeInt32(rs.theta, kn.nk)
-	for k := range rs.theta {
-		rs.theta[k] = 0
-	}
-	rs.deficit = kn.totalDemand
-	rs.loadCands(kn, -1, ban)
-	rs.lh.seed(kn, rs.theta, &rs.cand)
-}
-
-// loadCands fills rs's candidate set, in ascending bid order, with every
-// bid of the main run's checkpoint-s set (until[b] > s; s = -1 takes every
-// bid) outside bidder group ban.
-func (rs *replayScratch) loadCands(kn *kernel, s int32, ban int32) {
-	if cap(rs.cand.list) < kn.nb {
-		rs.cand.list = make([]int32, 0, kn.nb)
-	}
-	rs.cand.list = rs.cand.list[:0]
-	rs.cand.pos = resizeInt32(rs.cand.pos, kn.nb)
-	for b := int32(0); b < int32(kn.nb); b++ {
-		if kn.cand.until[b] <= s || kn.groupOf[b] == ban {
-			rs.cand.pos[b] = -1
+// popBest surfaces the replay's true greedy arg-min at rs.theta. The heap
+// holds only bids already pulled from kn.order; its root, once live and
+// epoch-fresh, carries its exact score. Every unpulled bid c sits at or
+// after the cursor, so (score_θ[c], c) ≥ (key₀[c], c) ≥ (key₀[next], next)
+// — scores only rise with θ and the order is sorted. The root is therefore
+// the arg-min as soon as it beats the next entry's θ=0 key; until then the
+// next entry is pulled, scored at rs.theta and pushed (or dropped, when it
+// is outside the checkpoint's set, banned, or dead). The returned winner is
+// NOT popped — its group ban discards it at the next call. Returns
+// best = -1 when no live candidate remains.
+func (rs *replayScratch) popBest(kn *kernel) (best int32, bestScore float64) {
+	lh := &rs.lh
+	for {
+		if len(lh.heap) > 0 {
+			b := lh.heap[0]
+			if rs.banned[kn.groupOf[b]] == rs.gen { // lazy delete
+				lh.pop()
+				continue
+			}
+			if lh.scoreEpoch[b] != lh.bidEpoch[b] {
+				lh.rescoreRoot(kn, rs.theta)
+				continue
+			}
+			if rs.next == len(kn.order) || betterScore(lh.key[b], b, kn.order[rs.next].key, kn.order[rs.next].b) {
+				return b, lh.key[b]
+			}
+		} else if rs.next == len(kn.order) {
+			return -1, 0
+		}
+		b := kn.order[rs.next].b
+		rs.next++
+		if kn.cand.until[b] <= rs.s || rs.banned[kn.groupOf[b]] == rs.gen {
 			continue
 		}
-		rs.cand.pos[b] = int32(len(rs.cand.list))
-		rs.cand.list = append(rs.cand.list, b)
+		if m := kn.marginalOf(b, rs.theta); m > 0 {
+			lh.push(kn, b, m)
+		}
 	}
 }
 
@@ -581,9 +665,9 @@ func (rs *replayScratch) loadCands(kn *kernel, s int32, ban int32) {
 // accumulating max over iterations of U_w(E_s)·θ_s — what bid w's report
 // could be while still preempting the iteration — until w can no longer
 // contribute or the demand is covered. The per-iteration arg-min comes
-// from the replay's own lazy-rescore heap (seeded by loadCheckpoint /
-// loadInitial), so a replay of a long suffix costs heap pops plus batch
-// dirtying instead of one full candidate scan per iteration. pivotal
+// from the replay's lazy pull over the shared candidate order (popBest),
+// so a replay pays for the pulls and pops its own suffix needs plus batch
+// dirtying, not for scoring every candidate of its checkpoint. pivotal
 // reports that the remaining demand was uncoverable while w still had
 // positive marginal (the reserve applies; any accumulated value is
 // discarded, as in the reference).
@@ -594,14 +678,14 @@ func (kn *kernel) replayFrom(rs *replayScratch, w int32, prior float64) (best fl
 		if m <= 0 {
 			break
 		}
-		idx, score, _ := rs.lh.popBest(kn, rs.theta, &rs.cand)
+		idx, score := rs.popBest(kn)
 		if idx < 0 {
 			return 0, true
 		}
 		if v := float64(m) * score; v > best {
 			best = v
 		}
-		kn.removeGroupIn(&rs.cand, kn.groupOf[idx])
+		rs.banned[kn.groupOf[idx]] = rs.gen
 		kn.applyDirtyState(&rs.lh, rs.theta, &rs.deficit, idx)
 	}
 	return best, false
@@ -625,7 +709,7 @@ func (kn *kernel) criticalValue(ins *Instance, w int32, s int, opts Options, rs 
 			best = v
 		}
 	}
-	rs.loadCheckpoint(kn, s, kn.groupOf[w])
+	rs.load(kn, s, kn.groupOf[w])
 	best, pivotal := kn.replayFrom(rs, w, best)
 	switch {
 	case pivotal:
@@ -652,7 +736,7 @@ func (kn *kernel) fullCounterfactual(ins *Instance, w int32, opts Options, rs *r
 	if opts.payment() == FirstPrice {
 		return kn.scaled[w]
 	}
-	rs.loadInitial(kn, kn.groupOf[w])
+	rs.load(kn, -1, kn.groupOf[w])
 	best, pivotal := kn.replayFrom(rs, w, 0)
 	switch {
 	case pivotal:
@@ -688,6 +772,7 @@ func (kn *kernel) computePayments(ins *Instance, opts Options, payments map[int]
 		}
 		return
 	}
+	kn.sorting.Wait()
 	workers := opts.parallelism()
 	if workers > len(winners) {
 		workers = len(winners)

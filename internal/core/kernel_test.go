@@ -151,3 +151,97 @@ func TestKernelPoolReuseAcrossShapes(t *testing.T) {
 		}
 	}
 }
+
+// settleShapedInstance mirrors one round of the platform settle load: 2000
+// bidders with 4 alternatives each, covering one or two of 40 needy
+// services (demand 2–10) at prices 5–64 and 1–3 units, as the load
+// generator's dynamic fleet submits them in round t.
+func settleShapedInstance(t int) *Instance {
+	const bidders, alts, needy = 2000, 4, 40
+	rng := rand.New(rand.NewSource(int64(1000 + t)))
+	ins := &Instance{Demand: make([]int, needy)}
+	for k := range ins.Demand {
+		ins.Demand[k] = 2 + rng.Intn(9)
+	}
+	for id := 1; id <= bidders; id++ {
+		for alt := 0; alt < alts; alt++ {
+			k := (id + alt) % needy
+			covers := []int{k}
+			if (id+t)%3 == 0 {
+				covers = append(covers, (k+1)%needy)
+			}
+			sortInts(covers)
+			p := float64(5 + (id*7+t*13+alt*29)%60)
+			ins.Bids = append(ins.Bids, Bid{
+				Bidder: id, Alt: alt, Price: p, TrueCost: p,
+				Covers: covers, Units: 1 + (id+t)%3,
+			})
+		}
+	}
+	return ins
+}
+
+// TestReplayPullsFewBids is a machine-independent work gate on the payment
+// phase. A critical-value replay pulls candidates from the kernel's sorted
+// θ=0 order only until its heap's root beats the order's next key, so on a
+// settle-shaped round each replay should score a small share of the bids —
+// not every bid of its checkpoint's candidate set, which is what seeding a
+// fresh heap per winner costs. The gate reads the replay's stream cursor.
+func TestReplayPullsFewBids(t *testing.T) {
+	const maxShare = 0.25
+	opts := Options{SkipCertificate: true, Parallelism: 1}
+	rs := new(replayScratch)
+	for round := 0; round < 3; round++ {
+		ins := settleShapedInstance(round)
+		scaled := make([]float64, len(ins.Bids))
+		for i, b := range ins.Bids {
+			scaled[i] = b.Price
+		}
+		kn := kernelPool.Get().(*kernel)
+		if err := kn.build(ins, scaled, opts); err != nil {
+			t.Fatal(err)
+		}
+		kn.buildOrder(false)
+		if err := kn.selectWinners(ins, opts, &Outcome{}, nil); err != nil {
+			t.Fatal(err)
+		}
+		pulled := 0
+		for s, w := range kn.winners {
+			kn.criticalValue(ins, int32(w), s, opts, rs)
+			pulled += rs.next
+		}
+		if pulled == 0 {
+			t.Fatalf("round %d: no replay pulled a bid; is the candidate order built?", round)
+		}
+		share := float64(pulled) / float64(len(kn.winners)*kn.nb)
+		t.Logf("round %d: %d winners, %d bids, mean %.0f pulled per replay (%.1f%%)",
+			round, len(kn.winners), kn.nb, float64(pulled)/float64(len(kn.winners)), 100*share)
+		if share > maxShare {
+			t.Errorf("round %d: a replay pulls %.1f%% of the bids on average, want ≤ %.0f%%", round, 100*share, 100*maxShare)
+		}
+		kn.release()
+	}
+}
+
+// TestSSAMPaymentsAllocs holds serial SSAM with critical-value payments to
+// its constant result-assembly allocations (scaled slice, Outcome, winner
+// copy, payments map): the pooled kernel, its θ=0 candidate order and the
+// replay scratch must not allocate in steady state.
+func TestSSAMPaymentsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items, so pooled paths allocate")
+	}
+	ins := settleShapedInstance(0)
+	opts := Options{SkipCertificate: true, Parallelism: 1}
+	if _, err := SSAM(ins, opts); err != nil { // warm the pools
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := SSAM(ins, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 7 {
+		t.Fatalf("serial SSAM with critical-value payments allocates %v/op, want ≤ 7", allocs)
+	}
+}

@@ -2,7 +2,10 @@ package core
 
 // lazyHeap is the incremental priority structure behind every greedy
 // selection loop in the kernel: the truthful main run, the budgeted
-// selection, and each counterfactual payment replay. It replaces the
+// selection, and each counterfactual payment replay. The main runs seed it
+// with every candidate; a replay starts it empty and pushes only the bids
+// it pulls from the kernel's sorted θ=0 order (replayScratch.popBest), so
+// its heap holds the few bids near the replay's front. It replaces the
 // per-iteration O(candidates) arg-min scan with a binary min-heap over
 // (score, bid index) under LAZY RESCORING, exploiting two monotonicity
 // facts of the set-multicover greedy:
@@ -21,7 +24,8 @@ package core
 // which (key, marg) were cached. Stale entries are rescored only when they
 // surface at the heap root — a key can only rise, so one sift-down restores
 // the heap invariant. Deletions (bidder-group bans) are lazy as well: pops
-// consult the companion candSet and discard entries whose pos is -1.
+// discard entries whose group is banned (the main runs consult the
+// companion candSet's pos, a replay its per-group ban stamps).
 //
 // Exactness (DESIGN.md §11): a root that is alive and epoch-current is the
 // exact lexicographic minimum of (true score, bid index) over all live
@@ -43,22 +47,13 @@ type lazyHeap struct {
 	scoreEpoch []int32   // bidEpoch value at which key/marg were cached
 }
 
-// seed fills lh with the exact initial (score, marginal) of every candidate
-// in cs at state theta, pruning bids whose marginal is already 0 from cs —
-// they can never be selected (marginals only shrink), exactly as the
-// reference's first scan would skip them. All per-bid arrays are pooled
-// with their owner (kernel or replayScratch); steady state allocates
-// nothing.
+// seed fills a main run's heap with the exact initial (score, marginal) of
+// every candidate in cs at state theta, pruning bids whose marginal is
+// already 0 from cs — they can never be selected (marginals only shrink),
+// exactly as the reference's first scan would skip them. All per-bid arrays
+// are pooled with the kernel; steady state allocates nothing.
 func (lh *lazyHeap) seed(kn *kernel, theta []int32, cs *candSet) {
-	nb := kn.nb
-	lh.key = resizeFloat64(lh.key, nb)
-	lh.marg = resizeInt32(lh.marg, nb)
-	lh.bidEpoch = resizeInt32(lh.bidEpoch, nb)
-	lh.scoreEpoch = resizeInt32(lh.scoreEpoch, nb)
-	if cap(lh.heap) < nb {
-		lh.heap = make([]int32, 0, nb)
-	}
-	lh.heap = lh.heap[:0]
+	lh.reset(kn.nb)
 	for i := 0; i < len(cs.list); {
 		b := cs.list[i]
 		m := kn.marginalOf(b, theta)
@@ -76,6 +71,55 @@ func (lh *lazyHeap) seed(kn *kernel, theta []int32, cs *candSet) {
 	for i := len(lh.heap)/2 - 1; i >= 0; i-- {
 		lh.siftDown(i)
 	}
+}
+
+// reset empties lh and sizes its per-bid arrays for nb bids without
+// clearing them: every entry's fields are written when it enters the heap.
+func (lh *lazyHeap) reset(nb int) {
+	lh.key = resizeFloat64(lh.key, nb)
+	lh.marg = resizeInt32(lh.marg, nb)
+	lh.bidEpoch = resizeInt32(lh.bidEpoch, nb)
+	lh.scoreEpoch = resizeInt32(lh.scoreEpoch, nb)
+	if cap(lh.heap) < nb {
+		lh.heap = make([]int32, 0, nb)
+	}
+	lh.heap = lh.heap[:0]
+}
+
+// push inserts bid b with its exact marginal m at the current state. The
+// entry is fresh at b's current coverage epoch, whatever that epoch is.
+func (lh *lazyHeap) push(kn *kernel, b int32, m int) {
+	lh.scoreEpoch[b] = lh.bidEpoch[b]
+	lh.marg[b] = int32(m)
+	lh.key[b] = kn.scoreOf(b, m)
+	lh.heap = append(lh.heap, b)
+	for i := len(lh.heap) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !lh.less(i, parent) {
+			return
+		}
+		lh.heap[i], lh.heap[parent] = lh.heap[parent], lh.heap[i]
+		i = parent
+	}
+}
+
+// rescoreRoot rescores the stale root at state theta. A root whose
+// marginal hit 0 is dead forever (θ only grows) and is popped; rescoreRoot
+// then reports false so the caller can drop it from its candidate set.
+// Otherwise its key can only have risen, and one sift-down restores the
+// heap.
+func (lh *lazyHeap) rescoreRoot(kn *kernel, theta []int32) bool {
+	b := lh.heap[0]
+	lh.scoreEpoch[b] = lh.bidEpoch[b]
+	m := kn.marginalOf(b, theta)
+	if m <= 0 {
+		lh.pop()
+		return false
+	}
+	lh.marg[b] = int32(m)
+	lh.key[b] = kn.scoreOf(b, m)
+	lh.siftDown(0)
+	return true
 }
 
 // less orders heap slots by the shared greedy comparison over cached keys
@@ -128,16 +172,9 @@ func (lh *lazyHeap) popBest(kn *kernel, theta []int32, cs *candSet) (best int32,
 			continue
 		}
 		if lh.scoreEpoch[b] != lh.bidEpoch[b] { // stale: lazy rescore
-			lh.scoreEpoch[b] = lh.bidEpoch[b]
-			m := kn.marginalOf(b, theta)
-			if m <= 0 { // dead forever: θ only grows
+			if !lh.rescoreRoot(kn, theta) {
 				cs.remove(b)
-				lh.pop()
-				continue
 			}
-			lh.marg[b] = int32(m)
-			lh.key[b] = kn.scoreOf(b, m)
-			lh.siftDown(0)
 			continue
 		}
 		return b, lh.key[b], int(lh.marg[b])

@@ -137,6 +137,10 @@ func ssamScaled(ins *Instance, scaled []float64, opts Options) (*Outcome, error)
 	if err := kn.build(ins, scaled, opts); err != nil {
 		return nil, err
 	}
+	if opts.payment() == CriticalValue {
+		// The sort overlaps selection whenever the replays fan out.
+		kn.buildOrder(opts.parallelism() > 1)
+	}
 	out := &Outcome{}
 	if err := kn.selectWinners(ins, opts, out, cert); err != nil {
 		return nil, err

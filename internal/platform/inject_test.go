@@ -3,6 +3,7 @@ package platform
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -316,6 +317,87 @@ func TestAuditSinkAfterTraceFlush(t *testing.T) {
 	for i := range want {
 		if order[i] != want[i] {
 			t.Fatalf("order = %v, want %v", order, want)
+		}
+	}
+}
+
+// TestAnnounceOrderFollowsRoster interleaves registrations and drops
+// between rounds and checks, through the serial fault-phase hook, that
+// every round is announced to exactly the live agents in ascending id
+// order: the server's cached sorted roster must be rebuilt after each
+// change and reused, unchanged, when nothing changed.
+func TestAnnounceOrderFollowsRoster(t *testing.T) {
+	var mu sync.Mutex
+	announced := map[int][]int{}
+	srv, err := NewServer("127.0.0.1:0", ServerConfig{
+		BidDeadline: 2 * time.Second,
+		Fault: FaultInjection{
+			SendFault: func(round, agentID int, msgType string) error {
+				if msgType == TypeAnnounce {
+					mu.Lock()
+					announced[round] = append(announced[round], agentID)
+					mu.Unlock()
+				}
+				return nil
+			},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = srv.Close() }()
+
+	agents := map[int]*Agent{}
+	defer func() {
+		for _, a := range agents {
+			_ = a.Close()
+		}
+	}()
+	register := func(ids ...int) {
+		for _, id := range ids {
+			a, err := Dial(srv.Addr(), AgentConfig{ID: id, Policy: bidPolicy(float64(id))})
+			if err != nil {
+				t.Fatal(err)
+			}
+			agents[id] = a
+		}
+		waitCond(t, "registrations", func() bool { return srv.AgentCount() == len(agents) })
+	}
+	drop := func(ids ...int) {
+		for _, id := range ids {
+			if err := agents[id].Close(); err != nil {
+				t.Fatal(err)
+			}
+			delete(agents, id)
+		}
+		waitCond(t, "drops", func() bool { return srv.AgentCount() == len(agents) })
+	}
+	steps := []func(){
+		func() { register(7, 3, 9) },
+		func() {}, // no change: the cached roster is reused
+		func() { register(1, 12, 5) },
+		func() { drop(3) },
+		func() { register(4); drop(9) },
+		func() { drop(1); register(2, 8) },
+		func() {},
+		func() { drop(12, 2); register(3) },
+	}
+	for i, step := range steps {
+		step()
+		out, err := srv.RunRound([]int{2}, nil)
+		if err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		var want []int
+		for id := range agents {
+			want = append(want, id)
+		}
+		slices.Sort(want)
+		mu.Lock()
+		got := announced[out.T]
+		mu.Unlock()
+		if !slices.Equal(got, want) {
+			t.Fatalf("step %d (round %d): announced to %v, want the sorted live ids %v", i, out.T, got, want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -8,7 +9,6 @@ import (
 	"log"
 	"net"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -133,6 +133,12 @@ type Server struct {
 	capacity map[int]int
 	windows  map[int]core.BidderWindow
 
+	// roster is agents sorted by id, also guarded by mu. The next announce
+	// rebuilds it only after a registration or a drop changed the map
+	// (rosterStale), so a static fleet is not re-sorted every round.
+	roster      []*agentConn
+	rosterStale bool
+
 	// gmu guards the gather window: the open round's state plus the
 	// round-state free list. Connection read loops take it per accepted
 	// submission; the round driver takes it to open/close windows.
@@ -193,7 +199,6 @@ type roundState struct {
 	started  time.Time
 
 	agents     []*agentConn
-	sorter     agentsByID
 	sessions   []*session
 	sendErrs   []error
 	droppedIDs []int
@@ -211,14 +216,6 @@ type roundState struct {
 
 	ins *core.Instance
 }
-
-// agentsByID sorts a round's agent snapshot by bidder id. It lives as a
-// roundState field so sort.Sort sees an already-boxed pointer.
-type agentsByID struct{ agents []*agentConn }
-
-func (a *agentsByID) Len() int           { return len(a.agents) }
-func (a *agentsByID) Swap(i, j int)      { a.agents[i], a.agents[j] = a.agents[j], a.agents[i] }
-func (a *agentsByID) Less(i, j int) bool { return a.agents[i].id < a.agents[j].id }
 
 func (s *Server) getRoundState() *roundState {
 	s.gmu.Lock()
@@ -396,6 +393,7 @@ func (s *Server) handle(ctx context.Context, c *conn) {
 	for i := 0; i < count; i++ {
 		id := hello.AgentID + i
 		s.agents[id] = &agentConn{id: id, sess: sess}
+		s.rosterStale = true
 		s.capacity[id] = hello.Capacity
 		if hello.Arrive != 0 || hello.Depart != 0 {
 			s.windows[id] = core.BidderWindow{Arrive: hello.Arrive, Depart: hello.Depart}
@@ -615,6 +613,7 @@ func (s *Server) dropSession(sess *session, cause, detail string) {
 		id := sess.first + i
 		if a, ok := s.agents[id]; ok && a.sess == sess {
 			delete(s.agents, id)
+			s.rosterStale = true
 			removed = append(removed, id)
 		}
 	}
@@ -727,13 +726,16 @@ func (s *Server) announceRound(ctx context.Context, demand []int, needyIDs []int
 			s.msoa = core.NewMSOA(cfg)
 		}
 	}
-	rs.agents = rs.agents[:0]
-	for _, a := range s.agents {
-		rs.agents = append(rs.agents, a)
+	if s.rosterStale {
+		s.roster = s.roster[:0]
+		for _, a := range s.agents {
+			s.roster = append(s.roster, a)
+		}
+		slices.SortFunc(s.roster, func(a, b *agentConn) int { return cmp.Compare(a.id, b.id) })
+		s.rosterStale = false
 	}
+	rs.agents = append(rs.agents[:0], s.roster...)
 	s.mu.Unlock()
-	rs.sorter.agents = rs.agents
-	sort.Sort(&rs.sorter)
 
 	rs.t = t
 	rs.demand = demand
